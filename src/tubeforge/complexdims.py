@@ -5,7 +5,10 @@ ordinary polynomial in z = r^s, solved by a companion matrix; the zeros
 then come in exact vertical arithmetic progressions with period
 2*pi/ln(1/r).  Nonlattice lists are handled by the argument principle:
 winding-number counts over rectangles, recursive bisection until each
-rectangle isolates one zero, then Newton refinement.
+rectangle isolates one zero, then Newton refinement.  A winding number is
+the sum of arg changes of f along pieces of the boundary; a bound on |f'|
+certifies that f cannot wind around 0 within a piece, so each count is an
+exact integer (Ying & Katz, Numer. Math. 53, 1988).
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ _MAX_DENOMINATOR = 64
 _DEDUP_DISTANCE = 1e-8
 _PERTURB_RETRIES = 5
 _REAL_IM_TOL = 1e-9
-# Winding integral controls.
-_WINDING_STABLE_TOL = 1e-3
-_WINDING_ROUND_TOL = 0.25
-_MAX_CONTOUR_NODES = 8_000_000
+# Winding counts: the rounding-error bound charged per unit in the last
+# place of a term of f, and the relative length below which a contour piece
+# that still cannot exclude a zero is taken to touch one.
+_ROUNDING = 4.0 * np.finfo(float).eps
+_MIN_PIECE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -77,13 +81,8 @@ def dirichlet_poly(ratios: RatioList, s):
     return acc
 
 
-def dirichlet_poly_deriv(ratios: RatioList, s):
-    """f'(s) = -sum(r_j^s ln r_j), in closed form."""
-    if isinstance(s, np.ndarray):
-        acc = np.zeros_like(s, dtype=np.complex128)
-        for r, m in ratios.distinct:
-            acc = acc - m * math.log(r) * np.exp(s * math.log(r))
-        return acc
+def dirichlet_poly_deriv(ratios: RatioList, s: complex) -> complex:
+    """f'(s) = -sum(r_j^s ln r_j), in closed form, at a complex scalar s."""
     acc = 0.0 + 0.0j
     for r, m in ratios.distinct:
         acc -= m * math.log(r) * cmath.exp(s * math.log(r))
@@ -243,36 +242,99 @@ def _symmetrize_and_sort(ratios: RatioList, raw):
     )
 
 
-def _winding_estimate(ratios: RatioList, corners, nodes_per_edge):
-    """Trapezoid of f'/f along the closed rectangle, plus the largest
-    phase jump between consecutive samples (resolution diagnostic)."""
-    pts = []
-    for (a, b), n_edge in zip(corners, nodes_per_edge):
-        t = np.linspace(0.0, 1.0, n_edge + 1)[:-1]
-        pts.append(a + (b - a) * t)
-    s = np.concatenate(pts)
+def _moduli(ratios: RatioList, sigma):
+    """Per real abscissa (rows) and distinct ratio (columns): m_j r_j^sigma,
+    with |ln r_j| alongside."""
+    logs = np.array([math.log(r) for r, _ in ratios.distinct])
+    mults = np.array([float(m) for _, m in ratios.distinct])
+    return mults * np.exp(np.multiply.outer(sigma, logs)), -logs
+
+
+def _evaluate(ratios: RatioList, s):
+    """f at the nodes s, and a bound E on the rounding error of each value.
+
+    Term j is off by about (1 + |s| |ln r_j|) units in the last place of
+    m_j r_j^Re(s), the rounding of its exponent carried through exp, and
+    each of the J + 1 additions adds one unit of the running sum.  Raises
+    BoundaryProximityError where |f| <= 2E: a zero sits on the node.
+    """
     f = dirichlet_poly(ratios, s)
-    df = dirichlet_poly_deriv(ratios, s)
-    g = df / f
-
-    s_next = np.roll(s, -1)
-    g_next = np.roll(g, -1)
-    integral = np.sum(0.5 * (g + g_next) * (s_next - s))
-    winding = (integral / (2.0j * math.pi)).real
-
-    phase = np.angle(f)
-    jumps = np.abs((np.diff(np.concatenate([phase, phase[:1]])) + math.pi)
-                   % (2.0 * math.pi) - math.pi)
-    return winding, float(np.max(jumps)), s.size
+    terms, abs_logs = _moduli(ratios, s.real)
+    weight = 1.0 + np.sum(terms * (1.0 + np.multiply.outer(np.abs(s), abs_logs)), axis=-1)
+    err = _ROUNDING * (len(abs_logs) + 1) * weight
+    if np.any(np.abs(f) <= 2.0 * err):
+        raise BoundaryProximityError(
+            f"f vanishes to rounding at a contour node near "
+            f"{complex(s[np.argmin(np.abs(f) / err)])!r}"
+        )
+    return f, err
 
 
-def count_zeros_rectangle(ratios: RatioList, rect) -> int:
+def _lookup(cache, u: complex, v: complex):
+    """Cached arg change along u -> v, either orientation, or None."""
+    delta = cache.get((u, v))
+    if delta is None:
+        delta = cache.get((v, u))
+        if delta is not None:
+            delta = -delta
+    return delta
+
+
+def _bisect(ratios: RatioList, segments, cache) -> None:
+    """Cache the arg change of f along each segment, certified piece by piece.
+
+    The segments are bisected breadth first, one batch of new nodes per
+    level.  A piece [u, v] is done once M*|v - u| + E < max(|f(u)|, |f(v)|)/2,
+    where M = sum m_j |ln r_j| r_j^sigma at sigma = min(Re u, Re v) bounds
+    |f'| on the piece and E bounds the rounding error of the computed f:
+    then f stays in a disc that excludes 0, so arg(f(v)/f(u)) is the exact
+    change along the piece.  Every piece and every bisected segment is
+    cached by its exact endpoints, and a bisection cuts at 0.5*(u + v), the
+    cut ``_subdivide`` makes, so a half of a counted edge is a cache hit.
+    """
+    ends = np.array(list(dict.fromkeys(p for seg in segments for p in seg)))
+    f_ends, err_ends = _evaluate(ratios, ends)
+    index = {p: i for i, p in enumerate(ends.tolist())}
+    iu = [index[a] for a, _ in segments]
+    iv = [index[b] for _, b in segments]
+    u, v, fu, fv, eu, ev = (ends[iu], ends[iv], f_ends[iu], f_ends[iv],
+                            err_ends[iu], err_ends[iv])
+    splits = []
+    while u.size:
+        length = np.abs(v - u)
+        moduli, abs_logs = _moduli(ratios, np.minimum(u.real, v.real))
+        slope = moduli @ abs_logs
+        done = slope * length + np.maximum(eu, ev) < 0.5 * np.maximum(np.abs(fu), np.abs(fv))
+        for a, b, delta in zip(u[done].tolist(), v[done].tolist(),
+                               np.angle(fv[done] / fu[done]).tolist()):
+            cache[(a, b)] = delta
+        open_ = ~done
+        u, v, fu, fv, eu, ev = (x[open_] for x in (u, v, fu, fv, eu, ev))
+        short = length[open_] < _MIN_PIECE * np.maximum(1.0, np.abs(u))
+        if np.any(short):
+            raise BoundaryProximityError(
+                f"contour piece at {complex(u[short][0])!r} shrank below "
+                f"{_MIN_PIECE:g} relative without excluding a zero"
+            )
+        m = 0.5 * (u + v)
+        fm, em = _evaluate(ratios, m)
+        splits.extend(zip(u.tolist(), m.tolist(), v.tolist()))
+        u, v = np.concatenate([u, m]), np.concatenate([m, v])
+        fu, fv = np.concatenate([fu, fm]), np.concatenate([fm, fv])
+        eu, ev = np.concatenate([eu, em]), np.concatenate([em, ev])
+    for a, m, b in reversed(splits):
+        cache[(a, b)] = _lookup(cache, a, m) + _lookup(cache, m, b)
+
+
+def count_zeros_rectangle(ratios: RatioList, rect, cache=None) -> int:
     """Zeros (with multiplicity) inside an axis-aligned rectangle.
 
-    rect = (re_lo, re_hi, im_lo, im_hi).  Adaptive composite trapezoid of
-    f'/f along the boundary, refined until the estimate stabilizes to 1e-3
-    and every phase step is resolved; accepted only within 0.25 of an
-    integer, otherwise a zero is presumed near the boundary.
+    rect = (re_lo, re_hi, im_lo, im_hi).  The count is the winding number of
+    f around the boundary, (1/2pi) times the sum of the certified arg
+    changes of its four edges (see ``_bisect``), so it is an integer by
+    construction.  ``cache`` maps directed segments to arg changes and may
+    be shared by counts over rectangles with common edges.  Raises
+    BoundaryProximityError when a zero sits numerically on the boundary.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_hi > re_lo and im_hi > im_lo):
@@ -281,31 +343,12 @@ def count_zeros_rectangle(ratios: RatioList, rect) -> int:
     c2 = complex(re_hi, im_lo)
     c3 = complex(re_hi, im_hi)
     c4 = complex(re_lo, im_hi)
-    corners = [(c1, c2), (c2, c3), (c3, c4), (c4, c1)]
-    lengths = [abs(b - a) for a, b in corners]
-
-    density = 6.0
-    prev = None
-    while True:
-        nodes = [max(24, int(math.ceil(length * density))) for length in lengths]
-        winding, max_jump, total = _winding_estimate(ratios, corners, nodes)
-        resolved = max_jump < 0.5 * math.pi
-        if prev is not None and resolved and abs(winding - prev) < _WINDING_STABLE_TOL:
-            break
-        if total > _MAX_CONTOUR_NODES:
-            raise BoundaryProximityError(
-                f"winding integral on {rect!r} did not stabilize "
-                f"({total} nodes, estimate {winding!r})"
-            )
-        prev = winding
-        density *= 2.0
-
-    nearest = round(winding)
-    if abs(winding - nearest) > _WINDING_ROUND_TOL:
-        raise BoundaryProximityError(
-            f"winding {winding!r} on {rect!r} is not close to an integer"
-        )
-    return int(nearest)
+    edges = [(c1, c2), (c2, c3), (c3, c4), (c4, c1)]
+    cache = {} if cache is None else cache
+    todo = [edge for edge in edges if _lookup(cache, *edge) is None]
+    if todo:
+        _bisect(ratios, todo, cache)
+    return round(sum(_lookup(cache, a, b) for a, b in edges) / (2.0 * math.pi))
 
 
 def _perturb(rect, attempt):
@@ -322,11 +365,14 @@ def _perturb(rect, attempt):
     )
 
 
-def _count_with_retries(ratios: RatioList, rect) -> int:
+def _count_with_retries(ratios: RatioList, rect, cache):
+    """(count, rectangle counted): rect, or rect pushed outward when a zero
+    sits on its boundary."""
     last = None
     for attempt in range(_PERTURB_RETRIES + 1):
+        counted = _perturb(rect, attempt)
         try:
-            return count_zeros_rectangle(ratios, _perturb(rect, attempt))
+            return count_zeros_rectangle(ratios, counted, cache), counted
         except BoundaryProximityError as exc:
             last = exc
     raise last
@@ -368,12 +414,15 @@ def zero_free_abscissa(ratios: RatioList) -> float:
     return sigma if margin(sigma) > 0.0 else lo
 
 
-def _subdivide(ratios: RatioList, rect, count):
-    """Recursive bisection until each rectangle isolates one zero."""
+def _subdivide(ratios: RatioList, rect, cache):
+    """Recursive bisection until each rectangle isolates one zero.
+
+    Each rectangle is searched within the bounds it was counted over.
+    """
     found = []
-    stack = [(rect, count)]
+    stack = [_count_with_retries(ratios, rect, cache)]
     while stack:
-        (re_lo, re_hi, im_lo, im_hi), cnt = stack.pop()
+        cnt, (re_lo, re_hi, im_lo, im_hi) = stack.pop()
         if cnt == 0:
             continue
         width = re_hi - re_lo
@@ -404,8 +453,39 @@ def _subdivide(ratios: RatioList, rect, count):
             mid = 0.5 * (re_lo + re_hi)
             halves = [(re_lo, mid, im_lo, im_hi), (mid, re_hi, im_lo, im_hi)]
         for half in halves:
-            stack.append((half, _count_with_retries(ratios, half)))
+            stack.append(_count_with_retries(ratios, half, cache))
     return found
+
+
+def _argument_principle_zeros(ratios: RatioList, sigma: float, right: float,
+                              im_window: float):
+    """Zeros in [sigma, right] x [-T, T] by winding counts and bisection.
+
+    The full-window count is the independent completeness check: the zeros
+    found must add up to it, so the search covers the window that count
+    was taken over (pushed outward when a zero sat on its boundary).
+    Counts share one segment cache, so every subdivision evaluates only its
+    new cut.
+    """
+    cache = {}
+    total, window = _count_with_retries(
+        ratios, (sigma, right, -im_window, im_window), cache)
+    sigma, right, _, im_window = window
+
+    # Conjugate symmetry halves the search: a thin symmetric band
+    # catches real (and near-real) zeros, the upper half is mirrored.
+    band = min(1e-3, 0.25 * im_window)
+    raw = _subdivide(ratios, (sigma, right, -band, band), cache)
+    raw += _subdivide(ratios, (sigma, right, band, im_window), cache)
+    zeros = _symmetrize_and_sort(ratios, raw)
+
+    total_mult = sum(z.multiplicity for z in zeros)
+    if total_mult != total:
+        raise ConvergenceError(
+            f"zero search found multiplicity {total_mult}, winding count "
+            f"of the full window is {total}"
+        )
+    return zeros
 
 
 def find_complex_dimensions(model: SprayModel, im_window: float, re_floor=None):
@@ -433,23 +513,7 @@ def find_complex_dimensions(model: SprayModel, im_window: float, re_floor=None):
         right = dim.value + 0.5
         if sigma >= right:
             raise DomainError(f"re_floor {sigma!r} is right of D + 1/2")
-        total = _count_with_retries(ratios, (sigma, right, -im_window, im_window))
-
-        # Conjugate symmetry halves the search: a thin symmetric band
-        # catches real (and near-real) zeros, the upper half is mirrored.
-        band = min(1e-3, 0.25 * im_window)
-        raw = _subdivide(ratios, (sigma, right, -band, band),
-                         _count_with_retries(ratios, (sigma, right, -band, band)))
-        raw += _subdivide(ratios, (sigma, right, band, im_window),
-                          _count_with_retries(ratios, (sigma, right, band, im_window)))
-        zeros = _symmetrize_and_sort(ratios, raw)
-
-        total_mult = sum(z.multiplicity for z in zeros)
-        if total_mult != total:
-            raise ConvergenceError(
-                f"zero search found multiplicity {total_mult}, winding count "
-                f"of the full window is {total}"
-            )
+        zeros = _argument_principle_zeros(ratios, sigma, right, im_window)
 
     _check_zero_set(model, zeros, dim.value)
     return zeros
@@ -474,3 +538,4 @@ def _check_zero_set(model: SprayModel, zeros, dim_value: float):
             "the real zero of the Dirichlet polynomial must be the "
             f"similarity dimension {dim_value!r}, got {[z.omega for z in reals]!r}"
         )
+

@@ -1,8 +1,12 @@
 import math
+import random
+import time
 
+import numpy as np
 import pytest
 
 from tubeforge import (
+    BoundaryProximityError,
     DomainError,
     MonophaseGenerator,
     RatioList,
@@ -13,8 +17,15 @@ from tubeforge import (
     lattice_zeros,
     refine_zero,
     similarity_dimension,
+    window_for_pairs,
 )
-from tubeforge.complexdims import dirichlet_poly, zero_free_abscissa
+from tubeforge import complexdims
+from tubeforge.complexdims import (
+    _argument_principle_zeros,
+    dirichlet_poly,
+    zero_free_abscissa,
+)
+from tubeforge.presets import square_spray
 
 CANTOR_D = math.log(2) / math.log(3)
 CANTOR_PERIOD = 2 * math.pi / math.log(3)
@@ -93,6 +104,29 @@ class TestCountZerosRectangle:
 
     def test_triple_half(self):
         assert count_zeros_rectangle(RatioList([0.5, 0.5, 0.5]), (1, 2, -1, 1)) == 1
+
+    def test_edge_1e9_from_a_zero(self):
+        # D sits 1e-9 below the bottom edge; the zero at i*period is inside.
+        assert count_zeros_rectangle(RatioList([1 / 3, 1 / 3]), (-1, 1, 1e-9, 6)) == 1
+
+    def test_random_rectangles_match_lattice_zeros(self):
+        rl = RatioList([0.5, 0.25])
+        zeros = [z.omega for z in lattice_zeros(detect_lattice(rl), rl, 60.0)]
+        rng = random.Random(7)
+        for _ in range(40):
+            re_lo, re_hi = sorted(rng.uniform(-1.5, 1.5) for _ in range(2))
+            im_lo, im_hi = sorted(rng.uniform(-50.0, 50.0) for _ in range(2))
+            inside = sum(1 for w in zeros
+                         if re_lo < w.real < re_hi and im_lo < w.imag < im_hi)
+            assert count_zeros_rectangle(rl, (re_lo, re_hi, im_lo, im_hi)) == inside
+
+    def test_shared_cache_gives_the_same_counts(self):
+        rl = RatioList([0.5, 1 / 3])
+        cache = {}
+        rects = [(-1.0, 1.3, 0.5, 20.0), (-1.0, 1.3, 0.5, 10.25), (-1.0, 1.3, 10.25, 20.0)]
+        counts = [count_zeros_rectangle(rl, rect, cache) for rect in rects]
+        assert counts == [count_zeros_rectangle(rl, rect) for rect in rects]
+        assert counts[0] == counts[1] + counts[2] > 0
 
 
 class TestRefineZero:
@@ -177,3 +211,89 @@ class TestFindComplexDimensions:
     def test_rejects_nonpositive_window(self, cantor):
         with pytest.raises(DomainError):
             find_complex_dimensions(cantor, 0.0)
+
+
+class TestArgumentPrincipleRoute:
+    """The argument-principle route, forced on lattice lists, reproduces the
+    companion-matrix zero set."""
+
+    @pytest.mark.parametrize("ratios, window", [
+        ([1 / 3, 1 / 3], 30.0),
+        ([0.5, 0.25], 40.0),
+        ([0.4, 0.16, 0.064], 30.0),
+    ])
+    def test_matches_lattice_zeros(self, ratios, window):
+        rl = RatioList(ratios)
+        expected = lattice_zeros(detect_lattice(rl), rl, window)
+        right = similarity_dimension(rl).value + 0.5
+        got = _argument_principle_zeros(rl, zero_free_abscissa(rl), right, window)
+        assert len(got) == len(expected)
+        assert max(abs(a.omega - b.omega) for a, b in zip(got, expected)) <= 1e-12
+
+    def test_zero_column_on_the_left_edge(self):
+        # Every count whose left edge runs through the column is retried on
+        # a rectangle pushed outward, and the search covers what was counted.
+        rl = RatioList([0.5, 0.25])
+        structure = detect_lattice(rl)
+        column = min(z.omega.real for z in lattice_zeros(structure, rl, 40.0))
+        with pytest.raises(BoundaryProximityError):
+            count_zeros_rectangle(rl, (column, 1.0, 1.0, 20.0))
+        right = similarity_dimension(rl).value + 0.5
+        got = _argument_principle_zeros(rl, column, right, 20.0)
+        expected = lattice_zeros(structure, rl, 20.0)
+        assert len(got) == len(expected)
+        assert max(abs(a.omega - b.omega) for a, b in zip(got, expected)) <= 1e-12
+
+
+def _interval_model(ratios):
+    return SprayModel(RatioList(ratios), MonophaseGenerator(1, [2.0], 0.5, 1.0))
+
+
+class TestNearLatticeInputs:
+    """Lists within 1e-6..1e-4 of the lattice list [0.5, 0.25], with windows
+    from window_for_pairs whose edge passes close to a zero."""
+
+    @pytest.mark.parametrize("ratios, window, count", [
+        ([0.5, 0.25000025], 31.72654387864267, 13),
+        ([0.5, 0.24999975], 54.388282469054005, 23),
+        ([0.5000423956875157, 0.25], 18.129440567308777, 7),
+    ])
+    def test_window_near_a_zero(self, ratios, window, count):
+        start = time.perf_counter()
+        zeros = find_complex_dimensions(_interval_model(ratios), window)
+        assert time.perf_counter() - start < 2.0
+        assert len(zeros) == count
+        assert all(z.residual < 1e-10 for z in zeros)
+        assert all(abs(z.omega.imag) <= window for z in zeros)
+
+        # The zero nearest the window edge lies just outside it.
+        rl = RatioList([0.5, 0.25])
+        seed = min((z.omega for z in lattice_zeros(detect_lattice(rl), rl, 2 * window)),
+                   key=lambda w: abs(w.imag - window))
+        assert refine_zero(RatioList(ratios), seed).omega.imag > window
+
+
+class TestNodeBudget:
+    """Evaluation points of f per zero search; deterministic, unlike wall time."""
+
+    @pytest.fixture
+    def nodes(self, monkeypatch):
+        count = [0]
+        original = complexdims.dirichlet_poly
+
+        def counted(ratios, s):
+            count[0] += np.size(s)
+            return original(ratios, s)
+
+        monkeypatch.setattr(complexdims, "dirichlet_poly", counted)
+        return count
+
+    def test_square_100_pairs(self, nodes):
+        model = square_spray()
+        find_complex_dimensions(model, window_for_pairs(model.ratios, 100))
+        assert nodes[0] <= 200_000
+
+    def test_near_lattice_one_pair(self, nodes):
+        model = _interval_model([0.5, 0.25 * (1 + 1e-5)])
+        find_complex_dimensions(model, window_for_pairs(model.ratios, 1))
+        assert nodes[0] <= 10_000
