@@ -51,6 +51,7 @@ from .model import (
 from .moran import SimilarityDimension, real_dirichlet_sum, similarity_dimension
 from .tubeformula import (
     CompareEntry,
+    ResidueExpansion,
     ResidueTerm,
     TubeEvaluation,
     compare,
@@ -77,6 +78,7 @@ __all__ = [
     "MonophaseGenerator",
     "PoleProximityError",
     "RatioList",
+    "ResidueExpansion",
     "ResidueTerm",
     "ResourceLimitError",
     "ScalingWord",

@@ -147,13 +147,15 @@ def _cmd_czeros(args) -> int:
 def _cmd_tube(args) -> int:
     model = _load_validated(args)
     lines = []
-    if args.method in ("direct", "both"):
+    if args.method == "direct":
         lines.append(f"direct {fmt(direct_tube_volume(model, args.eps))}")
     if args.method in ("residues", "both"):
         window = args.T if args.T is not None else window_for_pairs(
             model.ratios, args.pairs
         )
         ev = tube_volume_residues(model, args.eps, args.pairs, window)
+        if args.method == "both":
+            lines.append(f"direct {fmt(ev.direct)}")
         lines.append(f"residues {fmt(ev.residue_value)}")
         if args.method == "both":
             lines.append(f"abs_err {fmt(ev.abs_error)}")

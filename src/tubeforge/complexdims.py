@@ -81,8 +81,13 @@ def dirichlet_poly(ratios: RatioList, s):
     return acc
 
 
-def dirichlet_poly_deriv(ratios: RatioList, s: complex) -> complex:
-    """f'(s) = -sum(r_j^s ln r_j), in closed form, at a complex scalar s."""
+def dirichlet_poly_deriv(ratios: RatioList, s):
+    """f'(s) = -sum(r_j^s ln r_j); s may be a complex scalar or ndarray."""
+    if isinstance(s, np.ndarray):
+        acc = np.zeros_like(s, dtype=np.complex128)
+        for r, m in ratios.distinct:
+            acc = acc - m * math.log(r) * np.exp(s * math.log(r))
+        return acc
     acc = 0.0 + 0.0j
     for r, m in ratios.distinct:
         acc -= m * math.log(r) * cmath.exp(s * math.log(r))

@@ -6,6 +6,7 @@ generator's inner tube polynomial and the total spray volume.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -46,7 +47,7 @@ class RatioList:
         """J, the number of ratios counted with multiplicity."""
         return len(self.ratios)
 
-    @property
+    @functools.cached_property
     def distinct(self):
         """Distinct ratios with multiplicities, descending: ((r, m), ...)."""
         out = []

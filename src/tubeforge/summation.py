@@ -6,6 +6,8 @@ residue partial sums, so results are reproducible and cancellation-safe.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class CompensatedSum:
     """Neumaier variant of Kahan summation for real floats."""
@@ -36,19 +38,15 @@ def compensated_total(values) -> float:
     return acc.value
 
 
-class ComplexCompensatedSum:
-    """Componentwise compensated accumulation of complex values."""
+def compensated_cumsum(x: np.ndarray) -> np.ndarray:
+    """Every prefix sum of x, each equal to a ``CompensatedSum`` over it.
 
-    __slots__ = ("_re", "_im")
-
-    def __init__(self):
-        self._re = CompensatedSum()
-        self._im = CompensatedSum()
-
-    def add(self, z: complex) -> None:
-        self._re.add(z.real)
-        self._im.add(z.imag)
-
-    @property
-    def value(self) -> complex:
-        return complex(self._re.value, self._im.value)
+    The running sum's rounding error at each step is recovered exactly
+    (Knuth's TwoSum, componentwise for complex x) and the errors are summed
+    back in, as the Neumaier correction does.
+    """
+    total = np.cumsum(x)
+    before, after = total[:-1], total[1:]
+    part = after - before
+    err = (before - (after - part)) + (x[1:] - part)
+    return total + np.concatenate((np.zeros(1, dtype=total.dtype), np.cumsum(err)))

@@ -4,8 +4,13 @@ The normalized tube function has the transform N(s) / (1 - sum r_j^s)
 with N(s) = sum(kappa_i g^(s-i) / (s-i), i = 0..n), kappa_n = -Vol(G).
 For eps < g the tube volume is the sum of residues of
 eps^(n-s) N(s) / (1 - sum r_j^s) over the integer poles 0..n-1 and the
-complex dimensions.  Truncation is by conjugate pairs ordered by |Im|,
-so every partial sum is real up to rounding.
+complex dimensions.  At a simple zero omega the residue is
+eps^(n-omega) c with c = N(omega)/f'(omega) independent of eps, so a
+``ResidueExpansion`` computes every c once per (model, zero set, pairs)
+in one array pass and each eps costs one exponential per kept zero.
+Zeros that are multiple or have a near-degenerate f' keep a per-eps
+contour integral.  Truncation is by conjugate pairs ordered by |Im|, so
+every partial sum is real up to rounding.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexdims import (
+    _REAL_IM_TOL,
     ComplexDimension,
     dirichlet_poly,
     dirichlet_poly_deriv,
@@ -33,13 +39,12 @@ from .errors import (
 from .model import MonophaseGenerator, SprayModel
 from .moran import similarity_dimension
 from .parallel import map_ordered
-from .summation import ComplexCompensatedSum
+from .summation import compensated_cumsum
 
 _POLE_PROXIMITY = 1e-12
 _SIMPLE_ZERO_MIN_DERIV = 1e-8
 _CONTOUR_TOL = 1e-10
 _CONTOUR_MAX_REFINE = 20
-_REAL_IM_TOL = 1e-9
 
 KIND_INTEGER_POLE = "integer-pole"
 KIND_SIMPLE_ZERO = "simple-zero"
@@ -84,7 +89,8 @@ def mellin_numerator(gen: MonophaseGenerator, s):
     """N(s) = sum(kappa_i g^(s-i)/(s-i), i=0..n) with kappa_n = -Vol(G).
 
     Scalar evaluation guards against pole proximity; ndarray input is the
-    raw vectorized form used by the contour and inversion integrals.
+    raw vectorized form used by the contour and inversion integrals and by
+    ``ResidueExpansion``, which applies the guard itself.
     """
     n = gen.dimension
     log_g = math.log(gen.inradius)
@@ -96,17 +102,29 @@ def mellin_numerator(gen: MonophaseGenerator, s):
                 acc = acc + k * np.exp((s - i) * log_g) / (s - i)
         return acc
     s = complex(s)
+    _check_pole_proximity(gen, np.array([s]))
     acc = 0.0 + 0.0j
     for i in range(n + 1):
         k = gen.kappa_extended(i)
-        if k == 0.0:
-            continue
-        if abs(s - i) < _POLE_PROXIMITY:
-            raise PoleProximityError(
-                f"s = {s!r} is within {_POLE_PROXIMITY} of the pole at {i}"
-            )
-        acc += k * cmath.exp((s - i) * log_g) / (s - i)
+        if k != 0.0:
+            acc += k * cmath.exp((s - i) * log_g) / (s - i)
     return acc
+
+
+def _check_pole_proximity(gen: MonophaseGenerator, s: np.ndarray) -> None:
+    """Raise PoleProximityError if some s lies within reach of a pole of N."""
+    for i in range(gen.dimension + 1):
+        near = np.flatnonzero(np.abs(s - i) < _POLE_PROXIMITY)
+        if near.size and gen.kappa_extended(i) != 0.0:
+            raise PoleProximityError(
+                f"s = {complex(s[near[0]])!r} is within {_POLE_PROXIMITY} "
+                f"of the pole at {i}"
+            )
+
+
+def _is_simple(multiplicity, deriv):
+    """Whether a zero takes the closed-form residue; scalars or arrays."""
+    return (multiplicity == 1) & (abs(deriv) >= _SIMPLE_ZERO_MIN_DERIV)
 
 
 def integer_pole_residue(model: SprayModel, i: int, eps: float) -> float:
@@ -146,7 +164,7 @@ def zero_residue(model: SprayModel, zero: ComplexDimension, eps: float,
         raise DomainError(f"residue needs eps > 0, got {eps!r}")
     omega = zero.omega
     deriv = dirichlet_poly_deriv(model.ratios, omega)
-    if zero.multiplicity == 1 and abs(deriv) >= _SIMPLE_ZERO_MIN_DERIV:
+    if _is_simple(zero.multiplicity, deriv):
         n = model.generator.dimension
         value = (
             cmath.exp((n - omega) * math.log(eps))
@@ -218,6 +236,109 @@ def window_for_pairs(ratios, pairs: int) -> float:
     return 2.0 * math.pi * (pairs + 2) / -math.log(r_min)
 
 
+def _check_residue_eps(gen: MonophaseGenerator, eps: float) -> None:
+    if not (eps > 0.0):
+        raise DomainError(f"tube volume needs eps > 0, got {eps!r}")
+    if eps >= gen.inradius:
+        raise DomainError(
+            f"residue formula stated only for eps < g; got eps = {eps!r} "
+            f">= inradius {gen.inradius!r}"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ResidueExpansion:
+    """The eps-independent part of the truncated residue sum.
+
+    ``omegas`` holds the kept complex dimensions in summation order: the
+    real zeros, then each of the ``pairs`` lowest upper-half zeros followed
+    by its conjugate.  ``coeffs`` holds N(omega)/f'(omega) at simple zeros
+    and NaN at the zeros listed in ``fallbacks`` (index, zero), whose
+    residues are contour integrals taken per eps.  ``locations`` are all
+    zeros of the set, used only to size those contours.
+    """
+
+    model: SprayModel
+    pairs: int
+    im_window: float
+    real_count: int
+    omegas: np.ndarray
+    coeffs: np.ndarray
+    fallbacks: tuple
+    locations: tuple
+
+    @classmethod
+    def build(cls, model: SprayModel, pairs: int, im_window: float,
+              zeros=None) -> "ResidueExpansion":
+        """Coefficients for ``pairs`` conjugate pairs of a zero set.
+
+        The zero set defaults to the complex dimensions with |Im| <= im_window.
+        """
+        if pairs < 0:
+            raise DomainError("pair count must be nonnegative")
+        if zeros is None:
+            zeros = find_complex_dimensions(model, im_window)
+        reals, uppers = split_zero_set(zeros)
+        if pairs > len(uppers):
+            raise WindowError(
+                f"{pairs} conjugate pairs requested but only {len(uppers)} lie "
+                f"inside the window |Im| <= {im_window}"
+            )
+        kept = list(reals)
+        for z in uppers[:pairs]:
+            kept.append(z)
+            kept.append(ComplexDimension(z.omega.conjugate(), z.multiplicity,
+                                         z.residual))
+        omegas = np.array([z.omega for z in kept], dtype=np.complex128)
+        mults = np.array([z.multiplicity for z in kept])
+
+        deriv = dirichlet_poly_deriv(model.ratios, omegas)
+        simple = _is_simple(mults, deriv)
+        _check_pole_proximity(model.generator, omegas[simple])
+        coeffs = np.full_like(omegas, complex(math.nan, math.nan))
+        coeffs[simple] = mellin_numerator(model.generator, omegas[simple]) / deriv[simple]
+        for a in (omegas, coeffs):
+            a.flags.writeable = False
+        return cls(
+            model=model,
+            pairs=pairs,
+            im_window=im_window,
+            real_count=len(reals),
+            omegas=omegas,
+            coeffs=coeffs,
+            fallbacks=tuple((int(k), kept[k]) for k in np.flatnonzero(~simple)),
+            locations=tuple(z.omega for z in zeros),
+        )
+
+    def evaluate(self, eps: float) -> TubeEvaluation:
+        """Partial sums at one eps < g, compared against the direct oracle."""
+        _check_residue_eps(self.model.generator, eps)
+        n = self.model.generator.dimension
+        residues = np.exp((n - self.omegas) * math.log(eps)) * self.coeffs
+        for k, zero in self.fallbacks:
+            residues[k] = zero_residue(self.model, zero, eps,
+                                       others=self.locations).value
+        poles = [integer_pole_residue(self.model, i, eps) for i in range(n)]
+        terms = np.concatenate((poles, residues))
+        # Partial sums: after the poles and real zeros, then after each pair.
+        partials = compensated_cumsum(terms)[n + self.real_count - 1::2]
+        sums = tuple(partials.real.tolist())
+        direct = direct_tube_volume(self.model, eps)
+        value = sums[-1]
+        abs_err = abs(value - direct)
+        return TubeEvaluation(
+            eps=eps,
+            direct=direct,
+            partial_sums=sums,
+            residue_value=value,
+            abs_error=abs_err,
+            rel_error=abs_err / abs(direct) if direct != 0.0 else math.inf,
+            pairs_used=self.pairs,
+            im_window=self.im_window,
+            imag_leakage=float(np.max(np.abs(partials.imag))),
+        )
+
+
 def tube_volume_residues(model: SprayModel, eps: float, pairs: int,
                          im_window: float, zeros=None) -> TubeEvaluation:
     """Truncated residue-sum tube formula, compared against the direct oracle.
@@ -226,55 +347,8 @@ def tube_volume_residues(model: SprayModel, eps: float, pairs: int,
     lowest conjugate pairs (each pair summed together so partial sums stay
     real).  Stated only for eps < g.
     """
-    gen = model.generator
-    if not (eps > 0.0):
-        raise DomainError(f"tube volume needs eps > 0, got {eps!r}")
-    if eps >= gen.inradius:
-        raise DomainError(
-            f"residue formula stated only for eps < g; got eps = {eps!r} "
-            f">= inradius {gen.inradius!r}"
-        )
-    if pairs < 0:
-        raise DomainError("pair count must be nonnegative")
-    if zeros is None:
-        zeros = find_complex_dimensions(model, im_window)
-    reals, uppers = split_zero_set(zeros)
-    if pairs > len(uppers):
-        raise WindowError(
-            f"{pairs} conjugate pairs requested but only {len(uppers)} lie "
-            f"inside the window |Im| <= {im_window}"
-        )
-    locations = [z.omega for z in zeros]
-
-    acc = ComplexCompensatedSum()
-    for i in range(gen.dimension):
-        acc.add(complex(integer_pole_residue(model, i, eps)))
-    for z in reals:
-        acc.add(zero_residue(model, z, eps, others=locations).value)
-
-    partials = [acc.value]
-    for z in uppers[:pairs]:
-        conj = ComplexDimension(z.omega.conjugate(), z.multiplicity, z.residual)
-        acc.add(zero_residue(model, z, eps, others=locations).value)
-        acc.add(zero_residue(model, conj, eps, others=locations).value)
-        partials.append(acc.value)
-
-    leakage = max(abs(p.imag) for p in partials)
-    sums = tuple(p.real for p in partials)
-    direct = direct_tube_volume(model, eps)
-    value = sums[-1]
-    abs_err = abs(value - direct)
-    return TubeEvaluation(
-        eps=eps,
-        direct=direct,
-        partial_sums=sums,
-        residue_value=value,
-        abs_error=abs_err,
-        rel_error=abs_err / abs(direct) if direct != 0.0 else math.inf,
-        pairs_used=pairs,
-        im_window=im_window,
-        imag_leakage=leakage,
-    )
+    _check_residue_eps(model.generator, eps)
+    return ResidueExpansion.build(model, pairs, im_window, zeros).evaluate(eps)
 
 
 def inverse_mellin_numeric(model: SprayModel, eps: float, c=None,
@@ -325,17 +399,29 @@ def inverse_mellin_numeric(model: SprayModel, eps: float, c=None,
 
 
 def compare(model: SprayModel, eps_grid, pairs: int, im_window: float):
-    """Direct vs residue-sum values over an eps grid, error-isolated per entry."""
+    """Direct vs residue-sum values over an eps grid, error-isolated per entry.
+
+    One ``ResidueExpansion`` serves the whole grid; a grid point outside
+    (0, g), or an expansion that cannot be built, gives an error entry.
+    """
     eps_list = [float(e) for e in eps_grid]
     if not eps_list:
         return []
-    zeros = None
+    expansion = None
+    failure = ""
     if any(0.0 < e < model.generator.inradius for e in eps_list):
         zeros = find_complex_dimensions(model, im_window)
+        try:
+            expansion = ResidueExpansion.build(model, pairs, im_window, zeros)
+        except DomainError as exc:
+            failure = str(exc)
 
     def one(eps):
         try:
-            ev = tube_volume_residues(model, eps, pairs, im_window, zeros=zeros)
+            _check_residue_eps(model.generator, eps)
+            if expansion is None:
+                raise DomainError(failure)
+            ev = expansion.evaluate(eps)
         except DomainError as exc:
             direct = direct_tube_volume(model, eps)
             return CompareEntry(eps, direct, math.nan, math.nan, math.nan,

@@ -41,6 +41,7 @@ class TestRatioList:
         r = RatioList([1 / 3, 1 / 3])
         assert r.count == 2
         assert r.distinct == ((1 / 3, 2),)
+        assert r.distinct is r.distinct  # computed once per instance
 
     @pytest.mark.parametrize("bad", [[], [0.0], [1.0], [-0.2], [0.5, 1.5], [float("nan")]])
     def test_rejects_bad_ratios(self, bad):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from tubeforge import tubeformula
 from tubeforge import (
     ComplexDimension,
     DomainError,
     MonophaseGenerator,
     PoleProximityError,
     RatioList,
+    ResidueExpansion,
     SprayModel,
     StripError,
     WindowError,
@@ -25,8 +27,51 @@ from tubeforge import (
     window_for_pairs,
     zero_residue,
 )
+from tubeforge.summation import CompensatedSum
+from tubeforge.tubeformula import split_zero_set
 
 CANTOR_D = math.log(2) / math.log(3)
+
+
+def interval_spray(ratios):
+    """The spray of a ratio list on a unit-interval generator."""
+    return SprayModel(RatioList(ratios), MonophaseGenerator(1, [2.0], 0.5, 1.0))
+
+
+def oracle_partial_sums(model, eps, pairs, zeros):
+    """Residue partial sums, one ``zero_residue`` per zero and eps, summed by
+    componentwise compensated accumulation in the order of the expansion."""
+    reals, uppers = split_zero_set(zeros)
+    locations = [z.omega for z in zeros]
+    re, im = CompensatedSum(), CompensatedSum()
+
+    def add(value):
+        re.add(value.real)
+        im.add(value.imag)
+
+    for i in range(model.generator.dimension):
+        add(complex(integer_pole_residue(model, i, eps)))
+    for z in reals:
+        add(zero_residue(model, z, eps, others=locations).value)
+    partials = [complex(re.value, im.value)]
+    for z in uppers[:pairs]:
+        conj = ComplexDimension(z.omega.conjugate(), z.multiplicity, z.residual)
+        add(zero_residue(model, z, eps, others=locations).value)
+        add(zero_residue(model, conj, eps, others=locations).value)
+        partials.append(complex(re.value, im.value))
+    return partials
+
+
+def assert_matches_oracle(model, eps_values, pairs, window, zeros):
+    expansion = ResidueExpansion.build(model, pairs, window, zeros)
+    for eps in eps_values:
+        ev = expansion.evaluate(eps)
+        oracle = oracle_partial_sums(model, eps, pairs, zeros)
+        assert len(ev.partial_sums) == pairs + 1
+        for got, want in zip(ev.partial_sums, oracle):
+            assert abs(got - want.real) <= 1e-14 * abs(want.real)
+        assert ev.imag_leakage < 1e-10
+    return expansion
 
 
 def quadrature_numerator(gen, s):
@@ -179,6 +224,56 @@ class TestTubeVolumeResidues:
             assert ev.imag_leakage < 1e-10 * abs(ev.residue_value)
 
 
+class TestResidueExpansion:
+    @pytest.mark.parametrize("name, pairs, eps_fractions", [
+        ("cantor", 500, (0.9, 0.6, 1 / 3, 0.1, 0.01)),
+        ("half-quarter", 100, (0.9, 0.5, 0.1, 0.003)),
+        ("geometric-0.4", 100, (0.8, 0.2, 0.02)),
+    ])
+    def test_matches_per_zero_oracle_lattice(self, cantor, name, pairs, eps_fractions):
+        model = {
+            "cantor": cantor,
+            "half-quarter": interval_spray([0.5, 0.25]),
+            "geometric-0.4": interval_spray([0.4, 0.16, 0.064]),
+        }[name]
+        window = window_for_pairs(model.ratios, pairs)
+        zeros = find_complex_dimensions(model, window)
+        g = model.generator.inradius
+        expansion = assert_matches_oracle(
+            model, [f * g for f in eps_fractions], pairs, window, zeros)
+        assert len(expansion.omegas) == 2 * pairs + 1
+        assert expansion.fallbacks == ()
+
+    def test_matches_per_zero_oracle_square(self, square, square_zeros_200_pairs):
+        window, zeros = square_zeros_200_pairs
+        g = square.generator.inradius
+        assert_matches_oracle(square, [g / 2, g / 8, g / 100], 200, window, zeros)
+
+    def test_contour_fallback_for_every_zero(self, cantor, monkeypatch):
+        monkeypatch.setattr(tubeformula, "_SIMPLE_ZERO_MIN_DERIV", 1e300)
+        window = window_for_pairs(cantor.ratios, 20)
+        zeros = find_complex_dimensions(cantor, window)
+        expansion = assert_matches_oracle(cantor, [0.1, 0.03], 20, window, zeros)
+        assert len(expansion.fallbacks) == len(expansion.omegas) == 41
+        assert np.isnan(expansion.coeffs).all()
+
+    @pytest.mark.parametrize("omega", [1e-13, 1.0 - 5e-13])
+    def test_zero_at_an_integer_pole(self, cantor, omega):
+        zeros = (ComplexDimension(complex(CANTOR_D), 1, 0.0),
+                 ComplexDimension(complex(omega), 1, 0.0))
+        with pytest.raises(PoleProximityError):
+            tube_volume_residues(cantor, 0.1, 0, 10.0, zeros=zeros)
+
+    def test_negative_pairs(self, cantor):
+        with pytest.raises(DomainError, match="nonnegative"):
+            ResidueExpansion.build(cantor, -1, 10.0)
+
+    def test_coefficients_are_read_only(self, cantor):
+        expansion = ResidueExpansion.build(cantor, 5, window_for_pairs(cantor.ratios, 5))
+        with pytest.raises(ValueError):
+            expansion.coeffs[0] = 0.0
+
+
 class TestInverseMellin:
     def test_cantor_values(self, cantor):
         assert abs(inverse_mellin_numeric(cantor, 0.1, c=0.8) - 13 / 15) < 1e-2
@@ -207,6 +302,37 @@ class TestCompare:
 
     def test_empty_grid(self, cantor):
         assert compare(cantor, [], 10, 100.0) == []
+
+    def test_window_error_per_entry(self, cantor):
+        g = cantor.generator.inradius
+        entries = compare(cantor, [g / 2, 2 * g], 50, 10.0)
+        assert "conjugate pairs requested" in entries[0].error
+        assert math.isnan(entries[0].residues)
+        assert entries[0].direct == pytest.approx(direct_tube_volume(cantor, g / 2))
+        assert "eps < g" in entries[1].error
+
+    def test_coefficients_once_per_zero(self, cantor, monkeypatch):
+        """A 200-eps grid evaluates N and f' once per kept zero in total."""
+        nodes = {"mellin_numerator": 0, "dirichlet_poly_deriv": 0}
+
+        def counting(name):
+            original = getattr(tubeformula, name)
+
+            def wrapper(first, s):
+                nodes[name] += int(getattr(s, "size", 1))
+                return original(first, s)
+
+            return wrapper
+
+        for name in nodes:
+            monkeypatch.setattr(tubeformula, name, counting(name))
+        g = cantor.generator.inradius
+        grid = np.geomspace(g * 1e-3, 0.9 * g, 200)
+        entries = compare(cantor, grid, 500, window_for_pairs(cantor.ratios, 500))
+        assert all(e.error == "" and e.rel_error < 1e-2 for e in entries)
+        kept = 2 * 500 + 1
+        assert 0 < nodes["mellin_numerator"] <= kept
+        assert 0 < nodes["dirichlet_poly_deriv"] <= kept
 
     def test_error_isolation(self, cantor):
         g = cantor.generator.inradius
