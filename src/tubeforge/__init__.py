@@ -17,9 +17,8 @@ from .complexdims import (
     refine_zero,
 )
 from .direct import (
-    ScalingWord,
+    DirectExpansion,
     direct_tube_volume,
-    enumerate_words,
     factor_multiplicities,
     functional_equation_residual,
     scaling_exponent_fit,
@@ -72,6 +71,7 @@ __all__ = [
     "ComplexDimension",
     "ConfigError",
     "ConvergenceError",
+    "DirectExpansion",
     "DivergenceError",
     "DomainError",
     "LatticeStructure",
@@ -81,7 +81,6 @@ __all__ = [
     "ResidueExpansion",
     "ResidueTerm",
     "ResourceLimitError",
-    "ScalingWord",
     "SimilarityDimension",
     "SprayModel",
     "SprayValidationError",
@@ -95,7 +94,6 @@ __all__ = [
     "count_zeros_rectangle",
     "detect_lattice",
     "direct_tube_volume",
-    "enumerate_words",
     "factor_multiplicities",
     "find_complex_dimensions",
     "functional_equation_residual",

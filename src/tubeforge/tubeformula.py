@@ -28,7 +28,7 @@ from .complexdims import (
     dirichlet_poly_deriv,
     find_complex_dimensions,
 )
-from .direct import direct_tube_volume
+from .direct import DirectExpansion, direct_tube_volume
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -310,8 +310,11 @@ class ResidueExpansion:
             locations=tuple(z.omega for z in zeros),
         )
 
-    def evaluate(self, eps: float) -> TubeEvaluation:
-        """Partial sums at one eps < g, compared against the direct oracle."""
+    def evaluate(self, eps: float, direct=None) -> TubeEvaluation:
+        """Partial sums at one eps < g, compared against the direct oracle.
+
+        ``direct`` is the direct tube volume at eps when the caller has it.
+        """
         _check_residue_eps(self.model.generator, eps)
         n = self.model.generator.dimension
         residues = np.exp((n - self.omegas) * math.log(eps)) * self.coeffs
@@ -323,7 +326,8 @@ class ResidueExpansion:
         # Partial sums: after the poles and real zeros, then after each pair.
         partials = compensated_cumsum(terms)[n + self.real_count - 1::2]
         sums = tuple(partials.real.tolist())
-        direct = direct_tube_volume(self.model, eps)
+        if direct is None:
+            direct = direct_tube_volume(self.model, eps)
         value = sums[-1]
         abs_err = abs(value - direct)
         return TubeEvaluation(
@@ -401,12 +405,14 @@ def inverse_mellin_numeric(model: SprayModel, eps: float, c=None,
 def compare(model: SprayModel, eps_grid, pairs: int, im_window: float):
     """Direct vs residue-sum values over an eps grid, error-isolated per entry.
 
-    One ``ResidueExpansion`` serves the whole grid; a grid point outside
-    (0, g), or an expansion that cannot be built, gives an error entry.
+    One ``ResidueExpansion`` and one ``DirectExpansion`` serve the whole
+    grid; a grid point outside (0, g), or a residue expansion that cannot be
+    built, gives an error entry.
     """
     eps_list = [float(e) for e in eps_grid]
     if not eps_list:
         return []
+    direct_expansion = DirectExpansion.build(model, min(eps_list))
     expansion = None
     failure = ""
     if any(0.0 < e < model.generator.inradius for e in eps_list):
@@ -417,13 +423,13 @@ def compare(model: SprayModel, eps_grid, pairs: int, im_window: float):
             failure = str(exc)
 
     def one(eps):
+        direct = direct_expansion.evaluate(eps)
         try:
             _check_residue_eps(model.generator, eps)
             if expansion is None:
                 raise DomainError(failure)
-            ev = expansion.evaluate(eps)
+            ev = expansion.evaluate(eps, direct)
         except DomainError as exc:
-            direct = direct_tube_volume(model, eps)
             return CompareEntry(eps, direct, math.nan, math.nan, math.nan,
                                 0, math.nan, error=str(exc))
         return CompareEntry(eps, ev.direct, ev.residue_value, ev.abs_error,
