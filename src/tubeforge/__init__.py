@@ -8,8 +8,8 @@ tube formula), and checks that the two agree.
 """
 
 from .complexdims import (
-    ComplexDimension,
     LatticeStructure,
+    ZeroSet,
     count_zeros_rectangle,
     detect_lattice,
     find_complex_dimensions,
@@ -47,7 +47,7 @@ from .model import (
     total_spray_volume,
     validate_spray,
 )
-from .moran import SimilarityDimension, real_dirichlet_sum, similarity_dimension
+from .moran import SimilarityDimension, similarity_dimension
 from .tubeformula import (
     CompareEntry,
     ResidueExpansion,
@@ -68,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryProximityError",
     "CompareEntry",
-    "ComplexDimension",
     "ConfigError",
     "ConvergenceError",
     "DirectExpansion",
@@ -89,6 +88,7 @@ __all__ = [
     "TubeforgeError",
     "ValidationReport",
     "WindowError",
+    "ZeroSet",
     "compare",
     "contour_residue",
     "count_zeros_rectangle",
@@ -103,7 +103,6 @@ __all__ = [
     "lattice_zeros",
     "load_spray",
     "mellin_numerator",
-    "real_dirichlet_sum",
     "refine_zero",
     "scaling_exponent_fit",
     "similarity_dimension",

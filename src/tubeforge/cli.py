@@ -12,11 +12,19 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import presets
-from .complexdims import find_complex_dimensions
-from .direct import direct_tube_volume
+from .complexdims import count_zeros_rectangle, find_complex_dimensions, zero_free_abscissa
+from .direct import direct_tube_volume, functional_equation_residual
 from .errors import ConfigError, SprayValidationError, TubeforgeError
-from .model import load_spray, validate_spray
+from .model import (
+    MonophaseGenerator,
+    RatioList,
+    SprayModel,
+    load_spray,
+    validate_spray,
+)
 from .moran import similarity_dimension
 from .tubeformula import (
     compare,
@@ -132,13 +140,9 @@ def _cmd_czeros(args) -> int:
     model = _load_validated(args)
     zeros = find_complex_dimensions(model, args.T, re_floor=args.re_floor)
     records = [
-        {
-            "re": z.omega.real,
-            "im": z.omega.imag,
-            "multiplicity": z.multiplicity,
-            "residual": z.residual,
-        }
-        for z in zeros
+        {"re": w.real, "im": w.imag, "multiplicity": m, "residual": r}
+        for w, m, r in zip(zeros.omega.tolist(), zeros.multiplicity.tolist(),
+                           zeros.residual.tolist())
     ]
     _emit(_json_render(records) + "\n", args.output)
     return 0
@@ -221,8 +225,6 @@ def _selftest_checks():
         return abs(d - ref) < 1e-10, f"D {fmt(d)} vs {fmt(ref)}"
 
     def moran_golden():
-        from .model import RatioList
-
         d = similarity_dimension(RatioList([0.5, 0.25])).value
         ref = math.log2((1.0 + math.sqrt(5.0)) / 2.0)
         return abs(d - ref) < 1e-10, f"D {fmt(d)} vs {fmt(ref)}"
@@ -234,8 +236,8 @@ def _selftest_checks():
         ref_d = math.log(2.0) / math.log(3.0)
         period = 2.0 * math.pi / math.log(3.0)
         worst = max(
-            abs(z.omega - complex(ref_d, k * period))
-            for z, k in zip(zeros, range(-5, 6))
+            abs(w - complex(ref_d, k * period))
+            for w, k in zip(zeros.omega.tolist(), range(-5, 6))
         )
         return worst < 1e-9, f"worst deviation {fmt(worst)}"
 
@@ -248,10 +250,6 @@ def _selftest_checks():
         return worst < 1e-12, f"worst relative deviation {fmt(worst)}"
 
     def functional_equation():
-        from .direct import functional_equation_residual
-
-        import numpy as np
-
         rng = np.random.default_rng(20260826)
         worst = 0.0
         for model in (cantor, square):
@@ -271,21 +269,14 @@ def _selftest_checks():
         return worst < 1e-3, f"worst error {fmt(worst)}"
 
     def czeros_nonlattice():
-        from .complexdims import count_zeros_rectangle, zero_free_abscissa
-        from .model import RatioList
-        from .moran import similarity_dimension as simdim
-
         ratios = RatioList([0.5, 1.0 / 3.0])
-        model_ratios = ratios
-        from .model import MonophaseGenerator, SprayModel
-
-        model = SprayModel(model_ratios, MonophaseGenerator(1, [2.0], 0.5, 1.0))
+        model = SprayModel(ratios, MonophaseGenerator(1, [2.0], 0.5, 1.0))
         zeros = find_complex_dimensions(model, 20.0)
         sigma = zero_free_abscissa(ratios)
-        right = simdim(ratios).value + 0.5
+        right = similarity_dimension(ratios).value + 0.5
         total = count_zeros_rectangle(ratios, (sigma, right, -20.0, 20.0))
-        mult = sum(z.multiplicity for z in zeros)
-        worst = max(z.residual for z in zeros)
+        mult = int(zeros.multiplicity.sum())
+        worst = max(zeros.residual.tolist())
         ok = mult == total and worst < 1e-10
         return ok, f"count {mult} vs winding {total}, worst residual {fmt(worst)}"
 

@@ -8,7 +8,9 @@ winding-number counts over rectangles, recursive bisection until each
 rectangle isolates one zero, then Newton refinement.  A winding number is
 the sum of arg changes of f along pieces of the boundary; a bound on |f'|
 certifies that f cannot wind around 0 within a piece, so each count is an
-exact integer (Ying & Katz, Numer. Math. 53, 1988).
+exact integer (Ying & Katz, Numer. Math. 53, 1988).  Either route returns
+a ``ZeroSet``: the zeros, their multiplicities and residuals as read-only
+arrays, sorted by (Im, Re) and exactly conjugate-symmetric.
 """
 
 from __future__ import annotations
@@ -44,13 +46,63 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 _MIN_PIECE = 1e-13
 
 
-@dataclass(frozen=True)
-class ComplexDimension:
-    """A zero of 1 - sum(r_j^s) with multiplicity and verification residual."""
+@dataclass(frozen=True, eq=False)
+class ZeroSet:
+    """Zeros of 1 - sum(r_j^s) with multiplicities and residuals |f(omega)|.
 
-    omega: complex
-    multiplicity: int
-    residual: float
+    The read-only arrays are sorted by (Im, Re) and exactly
+    conjugate-symmetric, so ``omega`` is the lower half, the real zeros and
+    the upper half, in that order: the slices ``lower``, ``reals`` and
+    ``upper``.
+    """
+
+    omega: np.ndarray
+    multiplicity: np.ndarray
+    residual: np.ndarray
+    lower: slice
+    reals: slice
+    upper: slice
+
+    @classmethod
+    def build(cls, ratios: RatioList, raw) -> "ZeroSet":
+        """From (zero, multiplicity) pairs: zeros within 1e-9 of the real
+        axis are put on it, the lower half is the conjugate of the upper
+        half, and zeros within 1e-8 of an earlier one are dropped."""
+        reals, uppers = [], []
+        for s, mult in raw:
+            if abs(s.imag) <= _REAL_IM_TOL:
+                reals.append((complex(s.real, 0.0), mult))
+            elif s.imag > 0.0:
+                uppers.append((s, mult))
+
+        def dedup(entries):
+            out = []
+            for s, mult in sorted(entries, key=lambda e: (e[0].imag, e[0].real)):
+                if out and abs(out[-1][0] - s) <= _DEDUP_DISTANCE:
+                    continue
+                out.append((s, mult))
+            return out
+
+        uppers = dedup(uppers)
+        entries = sorted([(s.conjugate(), m) for s, m in uppers] + dedup(reals) + uppers,
+                         key=lambda e: (e[0].imag, e[0].real))
+        omega = np.array([s for s, _ in entries], dtype=np.complex128)
+        f = dirichlet_poly(ratios, omega).tolist()
+        return cls._of(omega, np.array([m for _, m in entries], dtype=np.int64),
+                       np.array([abs(v) for v in f]))
+
+    @classmethod
+    def _of(cls, omega, multiplicity, residual) -> "ZeroSet":
+        """From arrays already sorted and conjugate-symmetric."""
+        for a in (omega, multiplicity, residual):
+            a.flags.writeable = False
+        start = int(np.count_nonzero(omega.imag < 0.0))
+        end = len(omega) - start
+        return cls(omega, multiplicity, residual,
+                   slice(0, start), slice(start, end), slice(end, None))
+
+    def __len__(self) -> int:
+        return len(self.omega)
 
 
 @dataclass(frozen=True)
@@ -69,28 +121,19 @@ class LatticeStructure:
 
 
 def dirichlet_poly(ratios: RatioList, s):
-    """f(s) = 1 - sum(r_j^s); s may be a complex scalar or ndarray."""
-    if isinstance(s, np.ndarray):
-        acc = np.ones_like(s, dtype=np.complex128)
-        for r, m in ratios.distinct:
-            acc = acc - m * np.exp(s * math.log(r))
-        return acc
-    acc = 1.0 + 0.0j
+    """f(s) = 1 - sum(r_j^s); s may be a complex scalar or ndarray, and a
+    scalar gives the bits it would give inside an ndarray."""
+    acc = 1.0
     for r, m in ratios.distinct:
-        acc -= m * cmath.exp(s * math.log(r))
+        acc = acc - m * np.exp(s * math.log(r))
     return acc
 
 
 def dirichlet_poly_deriv(ratios: RatioList, s):
     """f'(s) = -sum(r_j^s ln r_j); s may be a complex scalar or ndarray."""
-    if isinstance(s, np.ndarray):
-        acc = np.zeros_like(s, dtype=np.complex128)
-        for r, m in ratios.distinct:
-            acc = acc - m * math.log(r) * np.exp(s * math.log(r))
-        return acc
-    acc = 0.0 + 0.0j
+    acc = 0.0
     for r, m in ratios.distinct:
-        acc -= m * math.log(r) * cmath.exp(s * math.log(r))
+        acc = acc - m * math.log(r) * np.exp(s * math.log(r))
     return acc
 
 
@@ -143,25 +186,27 @@ def detect_lattice(ratios: RatioList) -> LatticeStructure:
 def _newton(ratios: RatioList, seed: complex, tol: float = NEWTON_TOL) -> complex:
     s = complex(seed)
     try:
-        for _ in range(_NEWTON_MAX_ITER):
-            fs = dirichlet_poly(ratios, s)
-            if abs(fs) < tol:
-                return s
-            dfs = dirichlet_poly_deriv(ratios, s)
-            if dfs == 0 or abs(s - seed) > 1e6:
-                break
-            s -= fs / dfs
-    except OverflowError:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(_NEWTON_MAX_ITER):
+                # Python complex arithmetic for the step, as numpy's complex
+                # division rounds differently.
+                fs = complex(dirichlet_poly(ratios, s))
+                if abs(fs) < tol:
+                    return s
+                dfs = complex(dirichlet_poly_deriv(ratios, s))
+                if dfs == 0 or abs(s - seed) > 1e6:
+                    break
+                s -= fs / dfs
+    except (FloatingPointError, OverflowError):
         pass  # iterate escaped far left; treated as divergence
     raise ConvergenceError(
         f"Newton iteration from seed {seed!r} did not reach |f| < {tol}"
     )
 
 
-def refine_zero(ratios: RatioList, seed: complex, multiplicity: int = 1) -> ComplexDimension:
+def refine_zero(ratios: RatioList, seed: complex) -> complex:
     """Polish a seed known to lie near a single zero; Newton on f."""
-    omega = _newton(ratios, seed)
-    return ComplexDimension(omega, multiplicity, abs(dirichlet_poly(ratios, omega)))
+    return _newton(ratios, seed)
 
 
 def _cluster_roots(roots, tol_scale=1e-6):
@@ -201,50 +246,26 @@ def lattice_zeros(structure: LatticeStructure, ratios: RatioList, im_window: flo
     period = structure.period
     tol_t = im_window * (1.0 + 1e-12) + 1e-12
 
-    raw = []
+    lifts = []
     for z, mult in _cluster_roots(list(map(complex, roots))):
-        if abs(z) == 0.0:
-            continue  # cannot happen: constant term is 1
-        s0 = cmath.log(z) / log_base
+        s0 = cmath.log(z) / log_base  # z != 0: the constant term is 1
         k_lo = math.ceil((-tol_t - s0.imag) / period)
         k_hi = math.floor((tol_t - s0.imag) / period)
-        for k in range(k_lo, k_hi + 1):
-            s = complex(s0.real, s0.imag + k * period)
-            if mult == 1:
-                try:
-                    s = _newton(ratios, s)
-                except ConvergenceError:
-                    pass  # keep the closed-form lift
-            raw.append((s, mult))
+        lifts += [(complex(s0.real, s0.imag + k * period), mult)
+                  for k in range(k_lo, k_hi + 1)]
 
-    return _symmetrize_and_sort(ratios, raw)
-
-
-def _symmetrize_and_sort(ratios: RatioList, raw):
-    """Force exact conjugate symmetry, dedup, and sort by (Im, Re)."""
-    reals, uppers = [], []
-    for s, mult in raw:
-        if abs(s.imag) <= _REAL_IM_TOL:
-            reals.append((complex(s.real, 0.0), mult))
-        elif s.imag > 0.0:
-            uppers.append((s, mult))
-        # lower-half entries are regenerated from the uppers
-
-    def dedup(entries):
-        out = []
-        for s, mult in sorted(entries, key=lambda e: (e[0].imag, e[0].real)):
-            if out and abs(out[-1][0] - s) <= _DEDUP_DISTANCE:
-                continue
-            out.append((s, mult))
-        return out
-
-    reals = dedup(reals)
-    uppers = dedup(uppers)
-    entries = [(s.conjugate(), m) for s, m in uppers] + reals + uppers
-    entries.sort(key=lambda e: (e[0].imag, e[0].real))
-    return tuple(
-        ComplexDimension(s, m, abs(dirichlet_poly(ratios, s))) for s, m in entries
-    )
+    # Newton's own first test, over all lifts at once: only simple lifts
+    # with |f| >= NEWTON_TOL take a step.
+    f = dirichlet_poly(ratios, np.array([s for s, _ in lifts], dtype=np.complex128))
+    raw = []
+    for (s, mult), fs in zip(lifts, f.tolist()):
+        if mult == 1 and abs(fs) >= NEWTON_TOL:
+            try:
+                s = _newton(ratios, s)
+            except ConvergenceError:
+                pass  # keep the closed-form lift
+        raw.append((s, mult))
+    return ZeroSet.build(ratios, raw)
 
 
 def _moduli(ratios: RatioList, sigma):
@@ -435,17 +456,17 @@ def _subdivide(ratios: RatioList, rect, cache):
         if cnt == 1:
             seed = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
             try:
-                cd = refine_zero(ratios, seed)
+                omega = refine_zero(ratios, seed)
             except ConvergenceError:
-                cd = None
-            if cd is not None:
+                omega = None
+            if omega is not None:
                 margin = 1e-7 * (1.0 + max(width, height))
                 inside = (
-                    re_lo - margin <= cd.omega.real <= re_hi + margin
-                    and im_lo - margin <= cd.omega.imag <= im_hi + margin
+                    re_lo - margin <= omega.real <= re_hi + margin
+                    and im_lo - margin <= omega.imag <= im_hi + margin
                 )
                 if inside:
-                    found.append((cd.omega, 1))
+                    found.append((omega, 1))
                     continue
         if max(width, height) < _DEDUP_DISTANCE:
             center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
@@ -482,9 +503,9 @@ def _argument_principle_zeros(ratios: RatioList, sigma: float, right: float,
     band = min(1e-3, 0.25 * im_window)
     raw = _subdivide(ratios, (sigma, right, -band, band), cache)
     raw += _subdivide(ratios, (sigma, right, band, im_window), cache)
-    zeros = _symmetrize_and_sort(ratios, raw)
+    zeros = ZeroSet.build(ratios, raw)
 
-    total_mult = sum(z.multiplicity for z in zeros)
+    total_mult = int(zeros.multiplicity.sum())
     if total_mult != total:
         raise ConvergenceError(
             f"zero search found multiplicity {total_mult}, winding count "
@@ -512,7 +533,9 @@ def find_complex_dimensions(model: SprayModel, im_window: float, re_floor=None):
     if structure.is_lattice:
         zeros = lattice_zeros(structure, ratios, im_window)
         if re_floor is not None:
-            zeros = tuple(z for z in zeros if z.omega.real >= re_floor)
+            keep = zeros.omega.real >= re_floor
+            zeros = ZeroSet._of(zeros.omega[keep], zeros.multiplicity[keep],
+                                zeros.residual[keep])
     else:
         sigma = re_floor if re_floor is not None else zero_free_abscissa(ratios)
         right = dim.value + 0.5
@@ -524,23 +547,25 @@ def find_complex_dimensions(model: SprayModel, im_window: float, re_floor=None):
     return zeros
 
 
-def _check_zero_set(model: SprayModel, zeros, dim_value: float):
-    n = model.generator.dimension
-    reals = [z for z in zeros if abs(z.omega.imag) <= _REAL_IM_TOL]
-    for z in zeros:
-        if z.omega.real > dim_value + 1e-9:
+def _check_zero_set(model: SprayModel, zeros: ZeroSet, dim_value: float):
+    omega = zeros.omega
+    right = omega.real > dim_value + 1e-9
+    pole = np.abs(np.subtract.outer(omega, np.arange(model.generator.dimension))) < 1e-6
+    bad = np.flatnonzero(right | pole.any(axis=1))
+    if bad.size:
+        k = bad[0]
+        if right[k]:
             raise SprayValidationError(
-                f"zero {z.omega!r} lies right of the similarity dimension"
+                f"zero {complex(omega[k])!r} lies right of the similarity dimension"
             )
-        for i in range(n):
-            if abs(z.omega - i) < 1e-6:
-                raise SprayValidationError(
-                    f"zero {z.omega!r} collides with the integer pole {i}; "
-                    "residue separation breaks down"
-                )
-    if len(reals) != 1 or abs(reals[0].omega.real - dim_value) > 1e-10:
+        raise SprayValidationError(
+            f"zero {complex(omega[k])!r} collides with the integer pole "
+            f"{np.argmax(pole[k])}; residue separation breaks down"
+        )
+    reals = omega[zeros.reals].tolist()
+    if len(reals) != 1 or abs(reals[0].real - dim_value) > 1e-10:
         raise SprayValidationError(
             "the real zero of the Dirichlet polynomial must be the "
-            f"similarity dimension {dim_value!r}, got {[z.omega for z in reals]!r}"
+            f"similarity dimension {dim_value!r}, got {reals!r}"
         )
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .model import SprayModel, RatioList, generator_tube_volume, total_spray_volume
-from .summation import CompensatedSum
 
 # Guard against runaway enumeration (threshold far too small for the list).
 MAX_ENUMERATION = 50_000_000
@@ -163,11 +162,9 @@ def functional_equation_residual(model: SprayModel, eps: float) -> float:
         raise DomainError(f"residual needs eps > 0, got {eps!r}")
     n = model.generator.dimension
     expansion = DirectExpansion.build(model, eps)
-    acc = CompensatedSum(expansion.evaluate(eps))
-    for r, m in model.ratios.distinct:
-        acc.add(-m * r**n * expansion.evaluate(eps / r))
-    acc.add(-generator_tube_volume(model.generator, eps))
-    return acc.value
+    terms = [expansion.evaluate(eps), -generator_tube_volume(model.generator, eps)]
+    terms += [-m * r**n * expansion.evaluate(eps / r) for r, m in model.ratios.distinct]
+    return math.fsum(terms)
 
 
 def scaling_exponent_fit(model: SprayModel, depth: int) -> float:

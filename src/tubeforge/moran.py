@@ -23,11 +23,6 @@ class SimilarityDimension:
     iterations: int
 
 
-def real_dirichlet_sum(ratios: RatioList, x: float) -> float:
-    """sum of r_j^x over the ratio list (with multiplicity)."""
-    return ratios.power_sum(x)
-
-
 def _dirichlet_derivative(ratios: RatioList, x: float) -> float:
     return sum(m * r**x * math.log(r) for r, m in ratios.distinct)
 
@@ -44,7 +39,7 @@ def similarity_dimension(ratios: RatioList) -> SimilarityDimension:
     iterations = 0
     lo = 0.0
     hi = 1.0
-    while real_dirichlet_sum(ratios, hi) >= 1.0:
+    while ratios.power_sum(hi) >= 1.0:
         hi *= 2.0
         iterations += 1
         if hi > 1e6:  # unreachable for valid ratios; defensive stop
@@ -52,19 +47,19 @@ def similarity_dimension(ratios: RatioList) -> SimilarityDimension:
 
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if real_dirichlet_sum(ratios, mid) > 1.0:
+        if ratios.power_sum(mid) > 1.0:
             lo = mid
         else:
             hi = mid
         iterations += 1
 
     x = 0.5 * (lo + hi)
-    resid = real_dirichlet_sum(ratios, x) - 1.0
+    resid = ratios.power_sum(x) - 1.0
     for _ in range(_NEWTON_STEPS):
         if abs(resid) < RESIDUAL_TOL:
             break
         x -= resid / _dirichlet_derivative(ratios, x)
-        resid = real_dirichlet_sum(ratios, x) - 1.0
+        resid = ratios.power_sum(x) - 1.0
         iterations += 1
 
     return SimilarityDimension(x, abs(resid), iterations)

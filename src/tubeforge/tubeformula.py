@@ -6,7 +6,7 @@ For eps < g the tube volume is the sum of residues of
 eps^(n-s) N(s) / (1 - sum r_j^s) over the integer poles 0..n-1 and the
 complex dimensions.  At a simple zero omega the residue is
 eps^(n-omega) c with c = N(omega)/f'(omega) independent of eps, so a
-``ResidueExpansion`` computes every c once per (model, zero set, pairs)
+``ResidueExpansion`` computes every c once per (model, ``ZeroSet``, pairs)
 in one array pass and each eps costs one exponential per kept zero.
 Zeros that are multiple or have a near-degenerate f' keep a per-eps
 contour integral.  Truncation is by conjugate pairs ordered by |Im|, so
@@ -15,15 +15,13 @@ every partial sum is real up to rounding.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexdims import (
-    _REAL_IM_TOL,
-    ComplexDimension,
+    ZeroSet,
     dirichlet_poly,
     dirichlet_poly_deriv,
     find_complex_dimensions,
@@ -88,38 +86,23 @@ class CompareEntry:
 def mellin_numerator(gen: MonophaseGenerator, s):
     """N(s) = sum(kappa_i g^(s-i)/(s-i), i=0..n) with kappa_n = -Vol(G).
 
-    Scalar evaluation guards against pole proximity; ndarray input is the
-    raw vectorized form used by the contour and inversion integrals and by
-    ``ResidueExpansion``, which applies the guard itself.
+    s may be a complex scalar or ndarray.  Raises PoleProximityError if
+    some s lies within reach of a pole of N.
     """
-    n = gen.dimension
     log_g = math.log(gen.inradius)
-    if isinstance(s, np.ndarray):
-        acc = np.zeros_like(s, dtype=np.complex128)
-        for i in range(n + 1):
-            k = gen.kappa_extended(i)
-            if k != 0.0:
-                acc = acc + k * np.exp((s - i) * log_g) / (s - i)
-        return acc
-    s = complex(s)
-    _check_pole_proximity(gen, np.array([s]))
-    acc = 0.0 + 0.0j
-    for i in range(n + 1):
-        k = gen.kappa_extended(i)
-        if k != 0.0:
-            acc += k * cmath.exp((s - i) * log_g) / (s - i)
-    return acc
-
-
-def _check_pole_proximity(gen: MonophaseGenerator, s: np.ndarray) -> None:
-    """Raise PoleProximityError if some s lies within reach of a pole of N."""
+    acc = 0.0
     for i in range(gen.dimension + 1):
+        k = gen.kappa_extended(i)
+        if k == 0.0:
+            continue
         near = np.flatnonzero(np.abs(s - i) < _POLE_PROXIMITY)
-        if near.size and gen.kappa_extended(i) != 0.0:
+        if near.size:
             raise PoleProximityError(
-                f"s = {complex(s[near[0]])!r} is within {_POLE_PROXIMITY} "
-                f"of the pole at {i}"
+                f"s = {complex(np.ravel(s)[near[0]])!r} is within "
+                f"{_POLE_PROXIMITY} of the pole at {i}"
             )
+        acc = acc + k * np.exp((s - i) * log_g) / (s - i)
+    return acc
 
 
 def _is_simple(multiplicity, deriv):
@@ -151,9 +134,9 @@ def _nearest_singularity_distance(model: SprayModel, center: complex, others):
     return min(dists) if dists else 0.1
 
 
-def zero_residue(model: SprayModel, zero: ComplexDimension, eps: float,
-                 others=()) -> ResidueTerm:
-    """Residue at a complex dimension.
+def zero_residue(model: SprayModel, omega: complex, multiplicity: int,
+                 eps: float, others=()) -> ResidueTerm:
+    """Residue at a complex dimension omega of the given multiplicity.
 
     Simple zeros use the closed form eps^(n-omega) N(omega)/f'(omega);
     multiple zeros and near-degenerate derivatives fall back to a small
@@ -162,16 +145,15 @@ def zero_residue(model: SprayModel, zero: ComplexDimension, eps: float,
     """
     if not (eps > 0.0):
         raise DomainError(f"residue needs eps > 0, got {eps!r}")
-    omega = zero.omega
     deriv = dirichlet_poly_deriv(model.ratios, omega)
-    if _is_simple(zero.multiplicity, deriv):
+    if _is_simple(multiplicity, deriv):
         n = model.generator.dimension
         value = (
-            cmath.exp((n - omega) * math.log(eps))
+            np.exp((n - omega) * math.log(eps))
             * mellin_numerator(model.generator, omega)
             / deriv
         )
-        return ResidueTerm(omega, value, KIND_SIMPLE_ZERO)
+        return ResidueTerm(omega, complex(value), KIND_SIMPLE_ZERO)
     radius = min(0.4 * _nearest_singularity_distance(model, omega, others), 0.1)
     value = contour_residue(model, omega, radius, eps)
     return ResidueTerm(omega, value, KIND_CONTOUR_FALLBACK)
@@ -219,14 +201,6 @@ def contour_residue(model: SprayModel, center: complex, radius: float,
     )
 
 
-def split_zero_set(zeros):
-    """(real zeros, upper-half zeros ordered by increasing Im)."""
-    reals = [z for z in zeros if abs(z.omega.imag) <= _REAL_IM_TOL]
-    uppers = [z for z in zeros if z.omega.imag > _REAL_IM_TOL]
-    uppers.sort(key=lambda z: (z.omega.imag, z.omega.real))
-    return reals, uppers
-
-
 def window_for_pairs(ratios, pairs: int) -> float:
     """Imaginary window expected to cover the given number of conjugate pairs.
 
@@ -250,22 +224,21 @@ def _check_residue_eps(gen: MonophaseGenerator, eps: float) -> None:
 class ResidueExpansion:
     """The eps-independent part of the truncated residue sum.
 
-    ``omegas`` holds the kept complex dimensions in summation order: the
+    ``omegas`` holds the kept zeros of ``zeros`` in summation order: the
     real zeros, then each of the ``pairs`` lowest upper-half zeros followed
     by its conjugate.  ``coeffs`` holds N(omega)/f'(omega) at simple zeros
-    and NaN at the zeros listed in ``fallbacks`` (index, zero), whose
-    residues are contour integrals taken per eps.  ``locations`` are all
-    zeros of the set, used only to size those contours.
+    and NaN at the zeros listed in ``fallbacks`` (index, multiplicity),
+    whose residues are contour integrals taken per eps, sized by all of
+    ``zeros``.
     """
 
     model: SprayModel
     pairs: int
     im_window: float
-    real_count: int
+    zeros: ZeroSet
     omegas: np.ndarray
     coeffs: np.ndarray
     fallbacks: tuple
-    locations: tuple
 
     @classmethod
     def build(cls, model: SprayModel, pairs: int, im_window: float,
@@ -278,23 +251,20 @@ class ResidueExpansion:
             raise DomainError("pair count must be nonnegative")
         if zeros is None:
             zeros = find_complex_dimensions(model, im_window)
-        reals, uppers = split_zero_set(zeros)
-        if pairs > len(uppers):
+        upper = zeros.omega[zeros.upper]
+        if pairs > len(upper):
             raise WindowError(
-                f"{pairs} conjugate pairs requested but only {len(uppers)} lie "
+                f"{pairs} conjugate pairs requested but only {len(upper)} lie "
                 f"inside the window |Im| <= {im_window}"
             )
-        kept = list(reals)
-        for z in uppers[:pairs]:
-            kept.append(z)
-            kept.append(ComplexDimension(z.omega.conjugate(), z.multiplicity,
-                                         z.residual))
-        omegas = np.array([z.omega for z in kept], dtype=np.complex128)
-        mults = np.array([z.multiplicity for z in kept])
+        upper = upper[:pairs]
+        omegas = np.concatenate((zeros.omega[zeros.reals],
+                                 np.column_stack((upper, upper.conj())).ravel()))
+        mults = np.concatenate((zeros.multiplicity[zeros.reals],
+                                np.repeat(zeros.multiplicity[zeros.upper][:pairs], 2)))
 
         deriv = dirichlet_poly_deriv(model.ratios, omegas)
         simple = _is_simple(mults, deriv)
-        _check_pole_proximity(model.generator, omegas[simple])
         coeffs = np.full_like(omegas, complex(math.nan, math.nan))
         coeffs[simple] = mellin_numerator(model.generator, omegas[simple]) / deriv[simple]
         for a in (omegas, coeffs):
@@ -303,11 +273,10 @@ class ResidueExpansion:
             model=model,
             pairs=pairs,
             im_window=im_window,
-            real_count=len(reals),
+            zeros=zeros,
             omegas=omegas,
             coeffs=coeffs,
-            fallbacks=tuple((int(k), kept[k]) for k in np.flatnonzero(~simple)),
-            locations=tuple(z.omega for z in zeros),
+            fallbacks=tuple((int(k), int(mults[k])) for k in np.flatnonzero(~simple)),
         )
 
     def evaluate(self, eps: float, direct=None) -> TubeEvaluation:
@@ -318,13 +287,14 @@ class ResidueExpansion:
         _check_residue_eps(self.model.generator, eps)
         n = self.model.generator.dimension
         residues = np.exp((n - self.omegas) * math.log(eps)) * self.coeffs
-        for k, zero in self.fallbacks:
-            residues[k] = zero_residue(self.model, zero, eps,
-                                       others=self.locations).value
+        for k, mult in self.fallbacks:
+            residues[k] = zero_residue(self.model, complex(self.omegas[k]), mult, eps,
+                                       others=self.zeros.omega.tolist()).value
         poles = [integer_pole_residue(self.model, i, eps) for i in range(n)]
         terms = np.concatenate((poles, residues))
         # Partial sums: after the poles and real zeros, then after each pair.
-        partials = compensated_cumsum(terms)[n + self.real_count - 1::2]
+        real_count = len(self.omegas) - 2 * self.pairs
+        partials = compensated_cumsum(terms)[n + real_count - 1::2]
         sums = tuple(partials.real.tolist())
         if direct is None:
             direct = direct_tube_volume(self.model, eps)

@@ -68,8 +68,8 @@ def test_02_lattice_zeros_exact(cantor):
     worst = math.inf
     if ok:
         worst = max(
-            abs(z.omega - complex(CANTOR_D, k * period))
-            for z, k in zip(zeros, range(-5, 6))
+            abs(w - complex(CANTOR_D, k * period))
+            for w, k in zip(zeros.omega.tolist(), range(-5, 6))
         )
         ok = worst < 1e-9
     report(2, "lattice zeros exact", ok,
@@ -84,8 +84,8 @@ def test_03_winding_completeness(half_third_model):
               similarity_dimension(ratios).value + 0.5, -20.0, 20.0)
     total = count_zeros_rectangle(ratios, window)
     elapsed = time.perf_counter() - t0
-    mult = sum(z.multiplicity for z in zeros)
-    worst = max(z.residual for z in zeros)
+    mult = int(zeros.multiplicity.sum())
+    worst = max(zeros.residual.tolist())
     ok = mult == total and worst < 1e-10 and elapsed < 10.0
     report(3, "winding completeness", ok,
            f"multiplicity {mult} vs winding {total}, worst residual "

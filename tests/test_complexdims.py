@@ -1,12 +1,14 @@
 import math
 import random
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from tubeforge import (
     BoundaryProximityError,
+    ConvergenceError,
     DomainError,
     MonophaseGenerator,
     RatioList,
@@ -15,6 +17,7 @@ from tubeforge import (
     detect_lattice,
     find_complex_dimensions,
     lattice_zeros,
+    mellin_numerator,
     refine_zero,
     similarity_dimension,
     window_for_pairs,
@@ -23,13 +26,86 @@ from tubeforge import complexdims
 from tubeforge.complexdims import (
     _argument_principle_zeros,
     dirichlet_poly,
+    dirichlet_poly_deriv,
     zero_free_abscissa,
 )
-from tubeforge.presets import square_spray
+from tubeforge.presets import cantor_spray, square_spray
 
 CANTOR_D = math.log(2) / math.log(3)
 CANTOR_PERIOD = 2 * math.pi / math.log(3)
 GOLDEN_RE = math.log((1 + math.sqrt(5)) / 2) / math.log(4)
+
+
+class TestSingleEvaluator:
+    """f, f' and N have one body: a Python complex gives the bits the same
+    point gives inside an ndarray."""
+
+    @pytest.mark.parametrize("ratios", [
+        [1 / 3, 1 / 3], [0.5, 0.3], [0.4, 0.16, 0.064], [0.6, 0.25, 0.25, 0.1],
+    ])
+    def test_scalar_equals_array_bit_for_bit(self, ratios):
+        rl = RatioList(ratios)
+        rng = np.random.default_rng(20261018)
+        s = rng.uniform(-6.0, 3.0, 2000) + 1j * rng.uniform(-3000.0, 3000.0, 2000)
+        gens = (cantor_spray().generator, square_spray().generator)
+        evaluators = [lambda x: dirichlet_poly(rl, x), lambda x: dirichlet_poly_deriv(rl, x)]
+        evaluators += [lambda x, gen=gen: mellin_numerator(gen, x) for gen in gens]
+        for evaluate in evaluators:
+            scalars = np.array([evaluate(x) for x in s.tolist()], dtype=np.complex128)
+            assert np.array_equal(scalars.view(np.int64), evaluate(s).view(np.int64))
+
+    def test_overflow_is_divergence_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                refine_zero(RatioList([0.5, 0.3]), complex(-800, 1))
+
+
+def split_zero_set(omegas):
+    """The split of a zero set into (reals, uppers by (Im, Re)) that the
+    tube formula made before ``ZeroSet`` carried it."""
+    reals = [w for w in omegas if abs(w.imag) <= 1e-9]
+    uppers = sorted((w for w in omegas if w.imag > 1e-9), key=lambda w: (w.imag, w.real))
+    return reals, uppers
+
+
+class TestZeroSet:
+    @pytest.mark.parametrize("route", ["lattice", "argument-principle"])
+    @pytest.mark.parametrize("ratios, window", [
+        ([1 / 3, 1 / 3], 30.0),
+        ([0.25, 1 / 16], 20.0),
+        ([0.4, 0.16, 0.064], 30.0),
+    ])
+    def test_invariants(self, route, ratios, window):
+        rl = RatioList(ratios)
+        if route == "lattice":
+            zeros = lattice_zeros(detect_lattice(rl), rl, window)
+        else:
+            right = similarity_dimension(rl).value + 0.5
+            zeros = _argument_principle_zeros(rl, zero_free_abscissa(rl), right, window)
+        for a in (zeros.omega, zeros.multiplicity, zeros.residual):
+            assert not a.flags.writeable
+            assert len(a) == len(zeros)
+        omegas = zeros.omega.tolist()
+        reals, uppers = split_zero_set(omegas)
+        assert zeros.omega[zeros.reals].tolist() == reals
+        assert zeros.omega[zeros.upper].tolist() == uppers
+        lowers = zeros.omega[zeros.lower].tolist()
+        assert lowers == sorted((w.conjugate() for w in uppers), key=lambda w: (w.imag, w.real))
+        assert lowers + reals + uppers == omegas
+        assert zeros.residual.tolist() == [abs(dirichlet_poly(rl, w)) for w in omegas]
+
+    def test_re_floor_keeps_the_invariants(self):
+        model = SprayModel(RatioList([0.25, 1 / 16]), MonophaseGenerator(1, [2.0], 0.25, 0.5))
+        zeros = find_complex_dimensions(model, 5.0, re_floor=0.0)
+        for a in (zeros.omega, zeros.multiplicity, zeros.residual):
+            assert not a.flags.writeable
+        kept = [w for w in find_complex_dimensions(model, 5.0).omega.tolist() if w.real >= 0.0]
+        reals, uppers = split_zero_set(kept)
+        assert zeros.omega[zeros.reals].tolist() == reals
+        assert zeros.omega[zeros.upper].tolist() == uppers
+        assert zeros.omega[zeros.lower].tolist() + reals + uppers == kept
+        assert len(uppers) == 1
 
 
 class TestDetectLattice:
@@ -63,23 +139,24 @@ class TestLatticeZeros:
         rl = RatioList([1 / 3, 1 / 3])
         zeros = lattice_zeros(detect_lattice(rl), rl, 12.0)
         assert len(zeros) == 5
-        for z, k in zip(zeros, range(-2, 3)):
-            assert z.omega == pytest.approx(complex(CANTOR_D, k * CANTOR_PERIOD), abs=1e-10)
-            assert z.multiplicity == 1
-            assert z.residual < 1e-10
+        for w, m, res, k in zip(zeros.omega.tolist(), zeros.multiplicity.tolist(),
+                                zeros.residual.tolist(), range(-2, 3)):
+            assert w == pytest.approx(complex(CANTOR_D, k * CANTOR_PERIOD), abs=1e-10)
+            assert m == 1
+            assert res < 1e-10
 
     def test_quarter_sixteenth_two_families(self):
         rl = RatioList([0.25, 1 / 16])
         zeros = lattice_zeros(detect_lattice(rl), rl, 5.0)
         assert len(zeros) == 5
         period = 2 * math.pi / math.log(4)
-        family_a = [z for z in zeros if z.omega.real > 0]
-        family_b = [z for z in zeros if z.omega.real < 0]
+        family_a = [w for w in zeros.omega.tolist() if w.real > 0]
+        family_b = [w for w in zeros.omega.tolist() if w.real < 0]
         assert len(family_a) == 3 and len(family_b) == 2
-        for z, k in zip(family_a, (-1, 0, 1)):
-            assert z.omega == pytest.approx(complex(GOLDEN_RE, k * period), abs=1e-10)
-        for z, sign in zip(family_b, (-1, 1)):
-            assert z.omega == pytest.approx(
+        for w, k in zip(family_a, (-1, 0, 1)):
+            assert w == pytest.approx(complex(GOLDEN_RE, k * period), abs=1e-10)
+        for w, sign in zip(family_b, (-1, 1)):
+            assert w == pytest.approx(
                 complex(-GOLDEN_RE, sign * period / 2), abs=1e-10
             )
 
@@ -87,7 +164,7 @@ class TestLatticeZeros:
         rl = RatioList([0.5, 0.5, 0.5])
         zeros = lattice_zeros(detect_lattice(rl), rl, 1.0)
         assert len(zeros) == 1
-        assert zeros[0].omega == pytest.approx(complex(math.log2(3), 0.0), abs=1e-12)
+        assert complex(zeros.omega[0]) == pytest.approx(complex(math.log2(3), 0.0), abs=1e-12)
 
     def test_rejects_nonlattice(self):
         rl = RatioList([0.5, 1 / 3])
@@ -111,7 +188,7 @@ class TestCountZerosRectangle:
 
     def test_random_rectangles_match_lattice_zeros(self):
         rl = RatioList([0.5, 0.25])
-        zeros = [z.omega for z in lattice_zeros(detect_lattice(rl), rl, 60.0)]
+        zeros = lattice_zeros(detect_lattice(rl), rl, 60.0).omega.tolist()
         rng = random.Random(7)
         for _ in range(40):
             re_lo, re_hi = sorted(rng.uniform(-1.5, 1.5) for _ in range(2))
@@ -131,25 +208,26 @@ class TestCountZerosRectangle:
 
 class TestRefineZero:
     def test_real_seed_converges_to_dimension(self):
-        z = refine_zero(RatioList([1 / 3, 1 / 3]), 0.6 + 0.1j)
-        assert z.omega == pytest.approx(complex(CANTOR_D, 0.0), abs=1e-11)
-        assert z.residual < 1e-12
+        rl = RatioList([1 / 3, 1 / 3])
+        omega = refine_zero(rl, 0.6 + 0.1j)
+        assert omega == pytest.approx(complex(CANTOR_D, 0.0), abs=1e-11)
+        assert abs(dirichlet_poly(rl, omega)) < 1e-12
 
     def test_lattice_family_member(self):
-        z = refine_zero(RatioList([1 / 3, 1 / 3]), 0.6 + 5.5j)
-        assert z.omega == pytest.approx(complex(CANTOR_D, CANTOR_PERIOD), abs=1e-10)
+        omega = refine_zero(RatioList([1 / 3, 1 / 3]), 0.6 + 5.5j)
+        assert omega == pytest.approx(complex(CANTOR_D, CANTOR_PERIOD), abs=1e-10)
 
     def test_triple_half(self):
-        z = refine_zero(RatioList([0.5, 0.5, 0.5]), 1.5 + 0.2j)
-        assert z.omega == pytest.approx(complex(math.log2(3), 0.0), abs=1e-11)
+        omega = refine_zero(RatioList([0.5, 0.5, 0.5]), 1.5 + 0.2j)
+        assert omega == pytest.approx(complex(math.log2(3), 0.0), abs=1e-11)
 
 
 class TestFindComplexDimensions:
     def test_cantor_matches_lattice_closed_form(self, cantor):
         zeros = find_complex_dimensions(cantor, 12.0)
         assert len(zeros) == 5
-        for z, k in zip(zeros, range(-2, 3)):
-            assert abs(z.omega - complex(CANTOR_D, k * CANTOR_PERIOD)) < 1e-9
+        for w, k in zip(zeros.omega.tolist(), range(-2, 3)):
+            assert abs(w - complex(CANTOR_D, k * CANTOR_PERIOD)) < 1e-9
 
     def test_quarter_sixteenth_model(self):
         model = SprayModel(
@@ -158,7 +236,7 @@ class TestFindComplexDimensions:
         )
         zeros = find_complex_dimensions(model, 5.0)
         assert len(zeros) == 5
-        assert sum(1 for z in zeros if z.omega.real < 0) == 2
+        assert sum(1 for w in zeros.omega.tolist() if w.real < 0) == 2
 
     def test_half_third_window_20(self, half_third_model):
         zeros = find_complex_dimensions(half_third_model, 20.0)
@@ -168,33 +246,33 @@ class TestFindComplexDimensions:
             (zero_free_abscissa(ratios), similarity_dimension(ratios).value + 0.5,
              -20.0, 20.0),
         )
-        assert sum(z.multiplicity for z in zeros) == total
-        assert all(z.residual < 1e-10 for z in zeros)
-        reals = [z for z in zeros if z.omega.imag == 0.0]
+        assert sum(zeros.multiplicity.tolist()) == total
+        assert all(res < 1e-10 for res in zeros.residual.tolist())
+        reals = [w for w in zeros.omega.tolist() if w.imag == 0.0]
         assert len(reals) == 1
-        assert reals[0].omega.real == pytest.approx(0.7878849110258697, abs=1e-10)
+        assert reals[0].real == pytest.approx(0.7878849110258697, abs=1e-10)
 
     def test_conjugate_symmetry_is_exact(self, half_third_model):
         zeros = find_complex_dimensions(half_third_model, 20.0)
-        omegas = {z.omega for z in zeros}
+        omegas = set(zeros.omega.tolist())
         assert {w.conjugate() for w in omegas} == omegas
 
     def test_zeros_left_of_dimension(self, half_third_model):
         d = similarity_dimension(half_third_model.ratios).value
         zeros = find_complex_dimensions(half_third_model, 20.0)
-        assert all(z.omega.real <= d + 1e-9 for z in zeros)
-        assert all(abs(dirichlet_poly(half_third_model.ratios, z.omega)) < 1e-10
-                   for z in zeros)
+        assert all(w.real <= d + 1e-9 for w in zeros.omega.tolist())
+        assert all(abs(dirichlet_poly(half_third_model.ratios, w)) < 1e-10
+                   for w in zeros.omega.tolist())
 
     def test_sorted_by_im_then_re(self, half_third_model):
         zeros = find_complex_dimensions(half_third_model, 20.0)
-        keys = [(z.omega.imag, z.omega.real) for z in zeros]
+        keys = [(w.imag, w.real) for w in zeros.omega.tolist()]
         assert keys == sorted(keys)
 
     def test_lattice_periodicity(self, cantor):
         zeros = find_complex_dimensions(cantor, 30.0)
         period = detect_lattice(cantor.ratios).period
-        omegas = [z.omega for z in zeros]
+        omegas = zeros.omega.tolist()
         for w in omegas:
             if abs(w.imag + period) <= 30.0:
                 assert any(abs(w + 1j * period - v) < 1e-9 for v in omegas)
@@ -206,7 +284,7 @@ class TestFindComplexDimensions:
         )
         zeros = find_complex_dimensions(model, 5.0, re_floor=0.0)
         assert len(zeros) == 3
-        assert all(z.omega.real >= 0.0 for z in zeros)
+        assert all(w.real >= 0.0 for w in zeros.omega.tolist())
 
     def test_rejects_nonpositive_window(self, cantor):
         with pytest.raises(DomainError):
@@ -228,21 +306,23 @@ class TestArgumentPrincipleRoute:
         right = similarity_dimension(rl).value + 0.5
         got = _argument_principle_zeros(rl, zero_free_abscissa(rl), right, window)
         assert len(got) == len(expected)
-        assert max(abs(a.omega - b.omega) for a, b in zip(got, expected)) <= 1e-12
+        assert max(abs(a - b) for a, b in zip(got.omega.tolist(),
+                                              expected.omega.tolist())) <= 1e-12
 
     def test_zero_column_on_the_left_edge(self):
         # Every count whose left edge runs through the column is retried on
         # a rectangle pushed outward, and the search covers what was counted.
         rl = RatioList([0.5, 0.25])
         structure = detect_lattice(rl)
-        column = min(z.omega.real for z in lattice_zeros(structure, rl, 40.0))
+        column = min(lattice_zeros(structure, rl, 40.0).omega.real.tolist())
         with pytest.raises(BoundaryProximityError):
             count_zeros_rectangle(rl, (column, 1.0, 1.0, 20.0))
         right = similarity_dimension(rl).value + 0.5
         got = _argument_principle_zeros(rl, column, right, 20.0)
         expected = lattice_zeros(structure, rl, 20.0)
         assert len(got) == len(expected)
-        assert max(abs(a.omega - b.omega) for a, b in zip(got, expected)) <= 1e-12
+        assert max(abs(a - b) for a, b in zip(got.omega.tolist(),
+                                              expected.omega.tolist())) <= 1e-12
 
 
 def _interval_model(ratios):
@@ -263,14 +343,14 @@ class TestNearLatticeInputs:
         zeros = find_complex_dimensions(_interval_model(ratios), window)
         assert time.perf_counter() - start < 2.0
         assert len(zeros) == count
-        assert all(z.residual < 1e-10 for z in zeros)
-        assert all(abs(z.omega.imag) <= window for z in zeros)
+        assert all(res < 1e-10 for res in zeros.residual.tolist())
+        assert all(abs(w.imag) <= window for w in zeros.omega.tolist())
 
         # The zero nearest the window edge lies just outside it.
         rl = RatioList([0.5, 0.25])
-        seed = min((z.omega for z in lattice_zeros(detect_lattice(rl), rl, 2 * window)),
+        seed = min(lattice_zeros(detect_lattice(rl), rl, 2 * window).omega.tolist(),
                    key=lambda w: abs(w.imag - window))
-        assert refine_zero(RatioList(ratios), seed).omega.imag > window
+        assert refine_zero(RatioList(ratios), seed).imag > window
 
 
 class TestNodeBudget:

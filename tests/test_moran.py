@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tubeforge import RatioList, real_dirichlet_sum, similarity_dimension
+from tubeforge import RatioList, similarity_dimension
 
 
 def bisection_oracle(ratios, steps=200):
@@ -22,11 +22,11 @@ def bisection_oracle(ratios, steps=200):
 
 class TestRealDirichletSum:
     def test_at_zero_counts_ratios(self):
-        assert real_dirichlet_sum(RatioList([1 / 3, 1 / 3]), 0.0) == 2.0
+        assert RatioList([1 / 3, 1 / 3]).power_sum(0.0) == 2.0
 
     def test_at_one(self):
-        assert real_dirichlet_sum(RatioList([1 / 3, 1 / 3]), 1.0) == pytest.approx(2 / 3, abs=1e-15)
-        assert real_dirichlet_sum(RatioList([0.5, 1 / 3, 0.25]), 1.0) == pytest.approx(13 / 12, abs=1e-15)
+        assert RatioList([1 / 3, 1 / 3]).power_sum(1.0) == pytest.approx(2 / 3, abs=1e-15)
+        assert RatioList([0.5, 1 / 3, 0.25]).power_sum(1.0) == pytest.approx(13 / 12, abs=1e-15)
 
 
 class TestSimilarityDimension:
@@ -55,7 +55,7 @@ class TestSimilarityDimension:
     def test_residual_property(self, ratios):
         rl = RatioList(ratios)
         dim = similarity_dimension(rl)
-        assert abs(real_dirichlet_sum(rl, dim.value) - 1.0) < 1e-12
+        assert abs(rl.power_sum(dim.value) - 1.0) < 1e-12
         assert dim.value > 0.0
 
     @given(st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=1, max_size=6),
@@ -64,7 +64,7 @@ class TestSimilarityDimension:
     @settings(max_examples=200, deadline=None)
     def test_strictly_decreasing(self, ratios, x, step):
         rl = RatioList(ratios)
-        assert real_dirichlet_sum(rl, x) > real_dirichlet_sum(rl, x + step)
+        assert rl.power_sum(x) > rl.power_sum(x + step)
 
     @given(st.permutations([0.5, 0.31, 0.17, 0.44]))
     @settings(max_examples=30, deadline=None)

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from tubeforge import tubeformula
 from tubeforge import (
-    ComplexDimension,
     DomainError,
     MonophaseGenerator,
     PoleProximityError,
@@ -15,6 +14,7 @@ from tubeforge import (
     SprayModel,
     StripError,
     WindowError,
+    ZeroSet,
     compare,
     contour_residue,
     direct_tube_volume,
@@ -28,7 +28,6 @@ from tubeforge import (
     zero_residue,
 )
 from tubeforge.summation import CompensatedSum
-from tubeforge.tubeformula import split_zero_set
 
 CANTOR_D = math.log(2) / math.log(3)
 
@@ -41,8 +40,7 @@ def interval_spray(ratios):
 def oracle_partial_sums(model, eps, pairs, zeros):
     """Residue partial sums, one ``zero_residue`` per zero and eps, summed by
     componentwise compensated accumulation in the order of the expansion."""
-    reals, uppers = split_zero_set(zeros)
-    locations = [z.omega for z in zeros]
+    locations = zeros.omega.tolist()
     re, im = CompensatedSum(), CompensatedSum()
 
     def add(value):
@@ -51,13 +49,14 @@ def oracle_partial_sums(model, eps, pairs, zeros):
 
     for i in range(model.generator.dimension):
         add(complex(integer_pole_residue(model, i, eps)))
-    for z in reals:
-        add(zero_residue(model, z, eps, others=locations).value)
+    for w, m in zip(zeros.omega[zeros.reals].tolist(),
+                    zeros.multiplicity[zeros.reals].tolist()):
+        add(zero_residue(model, w, m, eps, others=locations).value)
     partials = [complex(re.value, im.value)]
-    for z in uppers[:pairs]:
-        conj = ComplexDimension(z.omega.conjugate(), z.multiplicity, z.residual)
-        add(zero_residue(model, z, eps, others=locations).value)
-        add(zero_residue(model, conj, eps, others=locations).value)
+    uppers = zip(zeros.omega[zeros.upper].tolist(), zeros.multiplicity[zeros.upper].tolist())
+    for w, m in list(uppers)[:pairs]:
+        add(zero_residue(model, w, m, eps, others=locations).value)
+        add(zero_residue(model, w.conjugate(), m, eps, others=locations).value)
         partials.append(complex(re.value, im.value))
     return partials
 
@@ -148,8 +147,7 @@ class TestIntegerPoleResidue:
 
 class TestZeroResidue:
     def test_cantor_real_zero_closed_form(self, cantor):
-        zero = ComplexDimension(complex(CANTOR_D), 1, 0.0)
-        term = zero_residue(cantor, zero, 0.1)
+        term = zero_residue(cantor, complex(CANTOR_D), 1, 0.1)
         # eps^(1-D) * N(D) / ln 3 with N(D) = 2 (1/6)^D / (D (1-D))
         expected = 0.1 ** (1 - CANTOR_D) * (
             2 * (1 / 6) ** CANTOR_D / (CANTOR_D * (1 - CANTOR_D))
@@ -160,19 +158,18 @@ class TestZeroResidue:
 
     def test_conjugate_pair_values_conjugate(self, cantor):
         zeros = find_complex_dimensions(cantor, 10.0)
-        ups = [z for z in zeros if z.omega.imag > 0]
-        for z in ups:
-            conj = ComplexDimension(z.omega.conjugate(), z.multiplicity, z.residual)
-            a = zero_residue(cantor, z, 0.07).value
-            b = zero_residue(cantor, conj, 0.07).value
+        ups = [(w, m) for w, m in zip(zeros.omega.tolist(), zeros.multiplicity.tolist())
+               if w.imag > 0]
+        for w, m in ups:
+            a = zero_residue(cantor, w, m, 0.07).value
+            b = zero_residue(cantor, w.conjugate(), m, 0.07).value
             assert a.real == pytest.approx(b.real, rel=1e-12)
             assert a.imag == pytest.approx(-b.imag, rel=1e-12)
 
 
 class TestContourResidue:
     def test_matches_closed_form_at_dimension(self, cantor):
-        zero = ComplexDimension(complex(CANTOR_D), 1, 0.0)
-        closed = zero_residue(cantor, zero, 0.1).value
+        closed = zero_residue(cantor, complex(CANTOR_D), 1, 0.1).value
         ring = contour_residue(cantor, complex(CANTOR_D), 0.1, 0.1)
         assert abs(ring - closed) < 1e-9
 
@@ -259,8 +256,7 @@ class TestResidueExpansion:
 
     @pytest.mark.parametrize("omega", [1e-13, 1.0 - 5e-13])
     def test_zero_at_an_integer_pole(self, cantor, omega):
-        zeros = (ComplexDimension(complex(CANTOR_D), 1, 0.0),
-                 ComplexDimension(complex(omega), 1, 0.0))
+        zeros = ZeroSet.build(cantor.ratios, [(complex(CANTOR_D), 1), (complex(omega), 1)])
         with pytest.raises(PoleProximityError):
             tube_volume_residues(cantor, 0.1, 0, 10.0, zeros=zeros)
 
