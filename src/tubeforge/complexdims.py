@@ -35,6 +35,7 @@ RESIDUAL_TOL = 1e-10
 NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 _LATTICE_MATCH_TOL = 1e-9
+_CLUSTER_TOL = 1e-6  # relative distance at which polynomial roots coincide
 _MAX_DENOMINATOR = 64
 _DEDUP_DISTANCE = 1e-8
 _PERTURB_RETRIES = 5
@@ -183,7 +184,7 @@ def detect_lattice(ratios: RatioList) -> LatticeStructure:
     return LatticeStructure(True, base, exponents, 2.0 * math.pi / -u)
 
 
-def _newton(ratios: RatioList, seed: complex, tol: float = NEWTON_TOL) -> complex:
+def _newton(ratios: RatioList, seed: complex) -> complex:
     s = complex(seed)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -191,7 +192,7 @@ def _newton(ratios: RatioList, seed: complex, tol: float = NEWTON_TOL) -> comple
                 # Python complex arithmetic for the step, as numpy's complex
                 # division rounds differently.
                 fs = complex(dirichlet_poly(ratios, s))
-                if abs(fs) < tol:
+                if abs(fs) < NEWTON_TOL:
                     return s
                 dfs = complex(dirichlet_poly_deriv(ratios, s))
                 if dfs == 0 or abs(s - seed) > 1e6:
@@ -200,7 +201,7 @@ def _newton(ratios: RatioList, seed: complex, tol: float = NEWTON_TOL) -> comple
     except (FloatingPointError, OverflowError):
         pass  # iterate escaped far left; treated as divergence
     raise ConvergenceError(
-        f"Newton iteration from seed {seed!r} did not reach |f| < {tol}"
+        f"Newton iteration from seed {seed!r} did not reach |f| < {NEWTON_TOL}"
     )
 
 
@@ -209,13 +210,13 @@ def refine_zero(ratios: RatioList, seed: complex) -> complex:
     return _newton(ratios, seed)
 
 
-def _cluster_roots(roots, tol_scale=1e-6):
+def _cluster_roots(roots):
     """Group numerically coincident polynomial roots into (value, count)."""
     remaining = sorted(roots, key=lambda z: (z.real, z.imag))
     clusters = []
     for z in remaining:
         for idx, (c, cnt) in enumerate(clusters):
-            if abs(z - c) <= tol_scale * (1.0 + abs(c)):
+            if abs(z - c) <= _CLUSTER_TOL * (1.0 + abs(c)):
                 clusters[idx] = ((c * cnt + z) / (cnt + 1), cnt + 1)
                 break
         else:

@@ -14,8 +14,8 @@ class CompensatedSum:
 
     __slots__ = ("_sum", "_comp")
 
-    def __init__(self, initial: float = 0.0):
-        self._sum = float(initial)
+    def __init__(self):
+        self._sum = 0.0
         self._comp = 0.0
 
     def add(self, x: float) -> None:

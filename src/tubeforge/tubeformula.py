@@ -44,7 +44,6 @@ _SIMPLE_ZERO_MIN_DERIV = 1e-8
 _CONTOUR_TOL = 1e-10
 _CONTOUR_MAX_REFINE = 20
 
-KIND_INTEGER_POLE = "integer-pole"
 KIND_SIMPLE_ZERO = "simple-zero"
 KIND_CONTOUR_FALLBACK = "contour-fallback"
 
@@ -376,8 +375,9 @@ def compare(model: SprayModel, eps_grid, pairs: int, im_window: float):
     """Direct vs residue-sum values over an eps grid, error-isolated per entry.
 
     One ``ResidueExpansion`` and one ``DirectExpansion`` serve the whole
-    grid; a grid point outside (0, g), or a residue expansion that cannot be
-    built, gives an error entry.
+    grid.  Any eps <= 0 raises ``DomainError`` for the whole grid (the
+    direct expansion cannot be built); a grid point with eps >= g, or a
+    residue expansion that cannot be built, gives an error entry.
     """
     eps_list = [float(e) for e in eps_grid]
     if not eps_list:

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from tubeforge import cli
 from tubeforge.cli import main
+from tubeforge.errors import ConvergenceError
 
 CANTOR_CONFIG = {
     "dimension": 1,
@@ -145,3 +147,34 @@ class TestDeterminism:
                             "--grid", "0.01:0.15:6:log", "--pairs", "100")
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+class TestSelftest:
+    def test_one_line_per_row_then_summary(self, capsys):
+        code, out, _ = run(capsys, "selftest")
+        assert code == 0
+        rows = cli.acceptance_checks()
+        lines = out.splitlines()
+        assert len(lines) == len(rows) + 1
+        for line, (number, label, _) in zip(lines, rows):
+            assert line.startswith(f"PASS {number:2d} {label}: ")
+        assert lines[-1] == f"selftest: {len(rows)}/{len(rows)} passed"
+
+    def test_failed_and_raising_rows_fail(self, capsys, monkeypatch):
+        real = cli.acceptance_checks
+
+        def boom():
+            raise ConvergenceError("no zero")
+
+        def patched():
+            replace = {7: boom, 8: lambda: (False, "off by a lot")}
+            return [(n, label, replace.get(n, check)) for n, label, check in real()]
+
+        monkeypatch.setattr(cli, "acceptance_checks", patched)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[5] == "FAIL  7 residue agreement (Cantor): error: no zero"
+        assert lines[6] == "FAIL  8 residue agreement (nonlattice square): off by a lot"
+        assert [line[:4] for line in lines[:-1]] == ["PASS"] * 5 + ["FAIL"] * 2 + ["PASS"]
+        assert lines[-1] == "selftest: 6/8 passed"

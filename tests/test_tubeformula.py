@@ -299,6 +299,10 @@ class TestCompare:
     def test_empty_grid(self, cantor):
         assert compare(cantor, [], 10, 100.0) == []
 
+    def test_nonpositive_eps_raises_for_the_grid(self, cantor):
+        with pytest.raises(DomainError, match="eps > 0, got 0.0"):
+            compare(cantor, [0.05, 0.0], 20, 60.0)
+
     def test_window_error_per_entry(self, cantor):
         g = cantor.generator.inradius
         entries = compare(cantor, [g / 2, 2 * g], 50, 10.0)

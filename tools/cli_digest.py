@@ -5,8 +5,9 @@
 Runs every job of each (workload, seed) batch of ``perfbench/workloads.py``
 in-process through ``tubeforge.cli.main``, from a scratch directory holding
 the batch's configs, with every warning shown, and writes {job: [exit code,
-sha256 of stdout, sha256 of stderr]}: two commits print the same output
-exactly when their files are equal.
+sha256 of stdout, sha256 of stderr]}, plus the same record of
+``tubeforge selftest`` under the key ``selftest``: two commits print the
+same output exactly when their files are equal.
 """
 
 import argparse
@@ -49,6 +50,7 @@ def digest(names, seeds) -> dict:
                         result[f"{name}/{seed}/{index} {' '.join(argv)}"] = run(argv)
                 finally:
                     os.chdir(home)
+    result["selftest"] = run(["selftest"])
     return result
 
 
