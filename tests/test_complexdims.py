@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tubeforge import (
     BoundaryProximityError,
@@ -325,6 +326,24 @@ class TestArgumentPrincipleRoute:
                                               expected.omega.tolist())) <= 1e-12
 
 
+    @given(st.floats(min_value=0.2, max_value=0.7),
+           st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=4))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_random_lattice_lists(self, base, exponents):
+        # A fuzz of 1,000 such lists at 10 pairs gave at most 1.9e-12.
+        # Zeros of two root families can share Im to rounding, so the sets
+        # are matched by nearest neighbour, not by sorted position.
+        rl = RatioList([base**k for k in exponents])
+        window = window_for_pairs(rl, 10)
+        expected = lattice_zeros(detect_lattice(rl), rl, window)
+        right = similarity_dimension(rl).value + 0.5
+        got = _argument_principle_zeros(rl, zero_free_abscissa(rl), right, window)
+        assert len(got) == len(expected)
+        assert int(got.multiplicity.sum()) == int(expected.multiplicity.sum())
+        dist = np.abs(np.subtract.outer(got.omega, expected.omega))
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-11
+
+
 def _interval_model(ratios):
     return SprayModel(RatioList(ratios), MonophaseGenerator(1, [2.0], 0.5, 1.0))
 
@@ -371,9 +390,9 @@ class TestNodeBudget:
     def test_square_100_pairs(self, nodes):
         model = square_spray()
         find_complex_dimensions(model, window_for_pairs(model.ratios, 100))
-        assert nodes[0] <= 200_000
+        assert nodes[0] <= 15_360  # measured 14,633
 
     def test_near_lattice_one_pair(self, nodes):
         model = _interval_model([0.5, 0.25 * (1 + 1e-5)])
         find_complex_dimensions(model, window_for_pairs(model.ratios, 1))
-        assert nodes[0] <= 10_000
+        assert nodes[0] <= 625  # measured 599

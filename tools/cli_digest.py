@@ -1,13 +1,16 @@
 """Digest of the CLI output of perfbench workload jobs, for byte-identity checks.
 
     python3 tools/cli_digest.py OUT.json [--workloads W ...] [--seeds N ...]
+                                [--against OLD.json]
 
 Runs every job of each (workload, seed) batch of ``perfbench/workloads.py``
 in-process through ``tubeforge.cli.main``, from a scratch directory holding
 the batch's configs, with every warning shown, and writes {job: [exit code,
 sha256 of stdout, sha256 of stderr]}, plus the same record of
 ``tubeforge selftest`` under the key ``selftest``: two commits print the
-same output exactly when their files are equal.
+same output exactly when their files are equal.  With ``--against``, the
+keys whose records differ between OLD.json and OUT.json (or are in only one
+of them) are printed and the exit status is 1 if there are any.
 """
 
 import argparse
@@ -54,10 +57,24 @@ def digest(names, seeds) -> dict:
     return result
 
 
+def differing(old: dict, new: dict) -> list:
+    """Keys whose records differ, or that only one digest has, sorted."""
+    return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output")
     parser.add_argument("--workloads", nargs="+", default=sorted(WORKLOADS))
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    parser.add_argument("--against", metavar="OLD.json",
+                        help="compare with an earlier digest; exit 1 if any key differs")
     args = parser.parse_args()
-    Path(args.output).write_text(json.dumps(digest(args.workloads, args.seeds), indent=1) + "\n")
+    result = digest(args.workloads, args.seeds)
+    Path(args.output).write_text(json.dumps(result, indent=1) + "\n")
+    if args.against:
+        keys = differing(json.loads(Path(args.against).read_text()), result)
+        for key in keys:
+            print(key)
+        print(f"{len(keys)} keys differ from {args.against}")
+        sys.exit(1 if keys else 0)
