@@ -9,11 +9,13 @@ until each rectangle isolates one zero, then Newton refinement.  A winding
 number is the sum of arg changes of f along pieces of the boundary; a
 bound on |f'| certifies that f cannot wind around 0 within a piece, so
 each count is an exact integer (Ying & Katz, Numer. Math. 53, 1988).  The
-edges of a whole generation are certified in one batch, and the
-full-window contour runs through the corners of the first generation, so
-that generation reuses the window's certified edges.  Either route returns
-a ``ZeroSet``: the zeros, their multiplicities and residuals as read-only
-arrays, sorted by (Im, Re) and exactly conjugate-symmetric.
+edges of a whole generation are certified in one batch, and each segment
+is cached in both orientations, so an edge two rectangles share is
+certified once.  Conjugate symmetry leaves a thin band around the real
+axis and the upper half to search; the first generation's counts of these
+two also give the window's total.  Either route returns a ``ZeroSet``: the
+zeros, their multiplicities and residuals as read-only arrays, sorted by
+(Im, Re) and exactly conjugate-symmetric.
 """
 
 from __future__ import annotations
@@ -187,7 +189,8 @@ def detect_lattice(ratios: RatioList) -> LatticeStructure:
     return LatticeStructure(True, base, exponents, 2.0 * math.pi / -u)
 
 
-def _newton(ratios: RatioList, seed: complex) -> complex:
+def refine_zero(ratios: RatioList, seed: complex) -> complex:
+    """Polish a seed known to lie near a single zero; Newton on f."""
     s = complex(seed)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -206,11 +209,6 @@ def _newton(ratios: RatioList, seed: complex) -> complex:
     raise ConvergenceError(
         f"Newton iteration from seed {seed!r} did not reach |f| < {NEWTON_TOL}"
     )
-
-
-def refine_zero(ratios: RatioList, seed: complex) -> complex:
-    """Polish a seed known to lie near a single zero; Newton on f."""
-    return _newton(ratios, seed)
 
 
 def _cluster_roots(roots):
@@ -258,14 +256,14 @@ def lattice_zeros(structure: LatticeStructure, ratios: RatioList, im_window: flo
         lifts += [(complex(s0.real, s0.imag + k * period), mult)
                   for k in range(k_lo, k_hi + 1)]
 
-    # Newton's own first test, over all lifts at once: only simple lifts
+    # refine_zero's own first test, over all lifts at once: only simple lifts
     # with |f| >= NEWTON_TOL take a step.
     f = dirichlet_poly(ratios, np.array([s for s, _ in lifts], dtype=np.complex128))
     raw = []
     for (s, mult), fs in zip(lifts, f.tolist()):
         if mult == 1 and abs(fs) >= NEWTON_TOL:
             try:
-                s = _newton(ratios, s)
+                s = refine_zero(ratios, s)
             except ConvergenceError:
                 pass  # keep the closed-form lift
         raw.append((s, mult))
@@ -298,16 +296,6 @@ def _evaluate(ratios: RatioList, s, logs, mults):
     return f, err
 
 
-def _lookup(cache, u: complex, v: complex):
-    """Cached arg change along u -> v, either orientation, or None."""
-    delta = cache.get((u, v))
-    if delta is None:
-        delta = cache.get((v, u))
-        if delta is not None:
-            delta = -delta
-    return delta
-
-
 def _bisect(ratios: RatioList, segments, cache) -> None:
     """Cache the arg change of f along each segment, certified piece by piece.
 
@@ -319,9 +307,11 @@ def _bisect(ratios: RatioList, segments, cache) -> None:
     bounds the rounding error of the computed f: then f stays in a disc that
     excludes 0, so arg(f(v)/f(u)) is the exact change along the piece.
     Every piece and every bisected segment is cached by its exact
-    endpoints, and a bisection cuts at 0.5*(u + v), the cut the zero search
-    makes when it splits a rectangle, so a half of a counted edge is a
-    cache hit.
+    endpoints in both orientations, the change along (v, u) being minus
+    that along (u, v), so an edge shared by two rectangles is one cache
+    read from either side.  A bisection cuts at 0.5*(u + v), the cut the
+    zero search makes when it splits a rectangle, so a half of a counted
+    edge is a cache hit.
     """
     logs = np.array([math.log(r) for r, _ in ratios.distinct])
     mults = np.array([float(m) for _, m in ratios.distinct])
@@ -339,7 +329,7 @@ def _bisect(ratios: RatioList, segments, cache) -> None:
         done = slope * length + np.maximum(eu, ev) < 0.5 * np.maximum(np.abs(fu), np.abs(fv))
         for a, b, delta in zip(u[done].tolist(), v[done].tolist(),
                                np.angle(fv[done] / fu[done]).tolist()):
-            cache[(a, b)] = delta
+            cache[(a, b)], cache[(b, a)] = delta, -delta
         open_ = ~done
         u, v, fu, fv, eu, ev = (x[open_] for x in (u, v, fu, fv, eu, ev))
         short = length[open_] < _MIN_PIECE * np.maximum(1.0, np.abs(u))
@@ -355,12 +345,17 @@ def _bisect(ratios: RatioList, segments, cache) -> None:
         fu, fv = np.concatenate([fu, fm]), np.concatenate([fm, fv])
         eu, ev = np.concatenate([eu, em]), np.concatenate([em, ev])
     for a, m, b in reversed(splits):
-        cache[(a, b)] = _lookup(cache, a, m) + _lookup(cache, m, b)
+        delta = cache[(a, m)] + cache[(m, b)]
+        cache[(a, b)], cache[(b, a)] = delta, -delta
 
 
-def _edges(vertices):
-    """The directed edges of the closed polygon through ``vertices``."""
-    return list(zip(vertices, vertices[1:] + vertices[:1]))
+def _edges(rect):
+    """The directed edges of the boundary of rect = (re_lo, re_hi, im_lo,
+    im_hi), counterclockwise from (re_lo, im_lo)."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
+               complex(re_hi, im_hi), complex(re_lo, im_hi)]
+    return list(zip(corners, corners[1:] + corners[:1]))
 
 
 def _certify(ratios: RatioList, edges, cache) -> None:
@@ -368,26 +363,10 @@ def _certify(ratios: RatioList, edges, cache) -> None:
     listed in both orientations is certified once."""
     todo = {}
     for a, b in edges:
-        if (b, a) not in todo and _lookup(cache, a, b) is None:
+        if (a, b) not in cache and (b, a) not in todo:
             todo[(a, b)] = None
     if todo:
         _bisect(ratios, list(todo), cache)
-
-
-def _winding(ratios: RatioList, vertices, cache) -> int:
-    """Winding number of f around the closed polygon through ``vertices``:
-    (1/2pi) times the sum of the certified arg changes of its edges."""
-    edges = _edges(vertices)
-    _certify(ratios, edges, cache)
-    return round(sum(_lookup(cache, a, b) for a, b in edges) / (2.0 * math.pi))
-
-
-def _corners(rect):
-    """The corners of rect = (re_lo, re_hi, im_lo, im_hi), counterclockwise
-    from (re_lo, im_lo)."""
-    re_lo, re_hi, im_lo, im_hi = rect
-    return [complex(re_lo, im_lo), complex(re_hi, im_lo),
-            complex(re_hi, im_hi), complex(re_lo, im_hi)]
 
 
 def count_zeros_rectangle(ratios: RatioList, rect, cache=None) -> int:
@@ -397,13 +376,17 @@ def count_zeros_rectangle(ratios: RatioList, rect, cache=None) -> int:
     f around the boundary, (1/2pi) times the sum of the certified arg
     changes of its four edges (see ``_bisect``), so it is an integer by
     construction.  ``cache`` maps directed segments to arg changes and may
-    be shared by counts over rectangles with common edges.  Raises
-    BoundaryProximityError when a zero sits numerically on the boundary.
+    be shared by counts over rectangles with common edges; edges it lacks
+    are certified and added.  Raises BoundaryProximityError when a zero
+    sits numerically on the boundary.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_hi > re_lo and im_hi > im_lo):
         raise DomainError(f"degenerate rectangle {rect!r}")
-    return _winding(ratios, _corners(rect), {} if cache is None else cache)
+    cache = {} if cache is None else cache
+    edges = _edges(rect)
+    _certify(ratios, edges, cache)
+    return round(sum(cache[edge] for edge in edges) / (2.0 * math.pi))
 
 
 def _perturb(rect, attempt):
@@ -420,14 +403,14 @@ def _perturb(rect, attempt):
     )
 
 
-def _count_with_retries(ratios: RatioList, rect, cache, count):
-    """(count(ratios, counted, cache), rectangle counted): rect, or rect
-    pushed outward when a zero sits on its boundary."""
+def _count_with_retries(ratios: RatioList, rect, cache):
+    """(count, rectangle counted): rect, or rect pushed outward when a zero
+    sits on its boundary."""
     last = None
     for attempt in range(_PERTURB_RETRIES + 1):
         counted = _perturb(rect, attempt)
         try:
-            return count(ratios, counted, cache), counted
+            return count_zeros_rectangle(ratios, counted, cache), counted
         except BoundaryProximityError as exc:
             last = exc
     raise last
@@ -469,28 +452,6 @@ def zero_free_abscissa(ratios: RatioList) -> float:
     return sigma if margin(sigma) > 0.0 else lo
 
 
-def _band(window):
-    """Half-height of the thin band around the real axis."""
-    return min(1e-3, 0.25 * window[3])
-
-
-def _count_window(ratios: RatioList, window, cache) -> int:
-    """Zeros inside the symmetric window (sigma, right, -T, T).
-
-    The contour also passes through (sigma, +-band) and (right, +-band), so
-    its certified pieces are the band's vertical edges and the upper half's
-    left, top and right edges, and the first generation of the search only
-    bisects the band's two horizontal edges.
-    """
-    sigma, right, im_lo, im_hi = window
-    band = _band(window)
-    return _winding(ratios, [
-        complex(sigma, im_lo), complex(right, im_lo),
-        complex(right, -band), complex(right, band), complex(right, im_hi),
-        complex(sigma, im_hi), complex(sigma, band), complex(sigma, -band),
-    ], cache)
-
-
 def _count_generation(ratios: RatioList, rects, cache):
     """(count, rectangle counted) for each rectangle of a generation.
 
@@ -500,10 +461,9 @@ def _count_generation(ratios: RatioList, rects, cache):
     counted on its own and pushed outward when a zero sits on its boundary.
     """
     try:
-        _certify(ratios, [edge for rect in rects for edge in _edges(_corners(rect))], cache)
+        _certify(ratios, [edge for rect in rects for edge in _edges(rect)], cache)
     except BoundaryProximityError:
-        return [_count_with_retries(ratios, rect, cache, count_zeros_rectangle)
-                for rect in rects]
+        return [_count_with_retries(ratios, rect, cache) for rect in rects]
     return [(count_zeros_rectangle(ratios, rect, cache), rect) for rect in rects]
 
 
@@ -511,26 +471,29 @@ def _argument_principle_zeros(ratios: RatioList, sigma: float, right: float,
                               im_window: float):
     """Zeros in [sigma, right] x [-T, T] by winding counts and bisection.
 
-    The full-window count is the independent completeness check: the zeros
-    found must add up to it, so the search covers the window that count
-    was taken over (pushed outward when a zero sat on its boundary).
-    Conjugate symmetry halves the search: a thin symmetric band catches
-    real (and near-real) zeros, and the upper half is mirrored.  The band
-    and the upper half are the first generation, and the window's contour
-    runs through their corners, so they reuse its certified edges.  The
-    search then goes one generation at a time: a rectangle holding one
-    zero is refined by Newton from its centre, any other nonempty one is
-    halved across its longer side, and all halves are counted together
-    (see ``_count_generation``).  Every rectangle is searched within the
-    bounds it was counted over, and all counts share one segment cache.
+    Conjugate symmetry halves the search: the first generation is a thin
+    band (sigma, right, -b, b), b = min(1e-3, T/4), which catches the real
+    zeros, and the upper half (sigma, right, b, T), whose zeros are
+    mirrored.  Its counts give the window's total, band + 2*upper, for two
+    reasons.  f(conj s) = conj f(s) for real ratios, so the lower half
+    winds exactly as often as the upper half.  And Im f(sigma + it) =
+    sum m_j r_j^sigma sin(t ln(1/r_j)) > 0 for 0 < t < pi/ln(1/r_min),
+    which is at least pi/744.4 ~ 4.2e-3 for any double r_min > 0 while
+    b <= 1e-3: no zero lies near the edge the band and the upper half share,
+    even once either is pushed outward by ~1e-6, so no zero is counted
+    twice.  That total is the completeness check: the zeros found must add
+    up to it.  The search then goes one generation at a time: a rectangle
+    holding one zero is refined by Newton from its centre, any other
+    nonempty one is halved across its longer side, and all halves are
+    counted together (see ``_count_generation``).  Every rectangle is
+    searched within the bounds it was counted over, and all counts share
+    one segment cache.
     """
     cache = {}
-    total, window = _count_with_retries(
-        ratios, (sigma, right, -im_window, im_window), cache, _count_window)
-    sigma, right, _, im_window = window
-    band = _band(window)
+    band = min(1e-3, 0.25 * im_window)
     generation = _count_generation(
         ratios, [(sigma, right, -band, band), (sigma, right, band, im_window)], cache)
+    total = generation[0][0] + 2 * generation[1][0]
 
     raw = []
     while generation:

@@ -11,6 +11,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, DivergenceError, DomainError
 from .summation import compensated_total
 
@@ -111,7 +113,8 @@ class MonophaseGenerator:
             acc = acc * eps + k
         return acc * eps
 
-    def polynomial_derivative_at(self, eps: float) -> float:
+    def polynomial_derivative_at(self, eps):
+        """d/deps of the tube polynomial; eps may be a float or an ndarray."""
         n = self.dimension
         acc = 0.0
         for i, k in enumerate(self.kappa):
@@ -190,10 +193,10 @@ def validate_spray(model: SprayModel, check_monotonic: bool = True) -> Validatio
 
     if check_monotonic:
         g = gen.inradius
-        pts = [g * (k + 1) / (_MONOTONE_SAMPLES + 1) for k in range(_MONOTONE_SAMPLES)]
-        pts.append(g)
-        pts.insert(0, g / (4.0 * _MONOTONE_SAMPLES))
-        bad = [e for e in pts if gen.polynomial_derivative_at(e) < 0.0]
+        pts = np.concatenate([[g / (4.0 * _MONOTONE_SAMPLES)],
+                              g * np.arange(1, _MONOTONE_SAMPLES + 1) / (_MONOTONE_SAMPLES + 1),
+                              [g]])
+        bad = pts[gen.polynomial_derivative_at(pts) < 0.0].tolist()
         if bad:
             failures.append(
                 "tube polynomial is decreasing inside (0, g], first bad "

@@ -33,9 +33,8 @@ def half_third_model():
 def square_zeros_200_pairs():
     """Complex dimensions of the square spray covering 200 conjugate pairs.
 
-    The nonlattice zero search over a +-915 window evaluates f at ~38,000
-    contour nodes (about half a second); it is still shared across every
-    test that needs it.
+    The nonlattice zero search over a +-915 window evaluates f at ~20,000
+    contour nodes; it is still shared across every test that needs it.
     """
     model = square_spray()
     window = window_for_pairs(model.ratios, 200)

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tubeforge import (
     ConfigError,
@@ -18,6 +18,7 @@ from tubeforge import (
     total_spray_volume,
     validate_spray,
 )
+from tubeforge import model as model_module
 
 
 def scaled_generator(gen, c):
@@ -124,6 +125,26 @@ class TestValidateSpray:
         report = validate_spray(model)
         assert any("decreasing" in f for f in report.failures)
         assert validate_spray(model, check_monotonic=False).ok
+
+    @given(st.integers(min_value=1, max_value=4),
+           st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=4, max_size=4),
+           st.floats(min_value=0.01, max_value=10.0))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_first_bad_sample_matches_the_pointwise_scan(self, n, kappa, g):
+        # The scan as a list comprehension, one scalar Horner per sample.
+        gen = MonophaseGenerator(n, kappa[:n], g, 1.0)
+        samples = model_module._MONOTONE_SAMPLES
+        pts = [g * (k + 1) / (samples + 1) for k in range(samples)]
+        pts.append(g)
+        pts.insert(0, g / (4.0 * samples))
+        bad = [e for e in pts if gen.polynomial_derivative_at(e) < 0.0]
+        report = validate_spray(SprayModel(RatioList([0.5, 0.25]), gen))
+        messages = [f for f in report.failures if "decreasing" in f]
+        if bad:
+            assert messages == ["tube polynomial is decreasing inside (0, g], first bad "
+                                f"sample eps = {bad[0]!r}"]
+        else:
+            assert messages == []
 
     def test_dimension_window_fails(self):
         # D(ln2/ln3) < n - 1 = 1 for a 2d generator.
