@@ -35,7 +35,12 @@ from .tubeformula import (
 )
 
 CSV_HEADER = "# tubeforge-csv v1"
-CSV_COLUMNS = "epsilon,direct,residues,abs_err,rel_err,pairs_used,im_leakage"
+# The columns of a scan row and the CompareEntry field each prints, in
+# output order; a JSON record adds "error".
+SCAN_COLUMNS = (("epsilon", "eps"), ("direct", "direct"), ("residues", "residues"),
+                ("abs_err", "abs_error"), ("rel_err", "rel_error"),
+                ("pairs_used", "pairs_used"), ("im_leakage", "imag_leakage"))
+CSV_COLUMNS = ",".join(name for name, _ in SCAN_COLUMNS)
 
 
 def fmt(x: float) -> str:
@@ -180,38 +185,15 @@ def _cmd_scan(args) -> int:
         model.ratios, args.pairs
     )
     entries = compare(model, grid, args.pairs, window)
+    rows = [{name: getattr(e, field) for name, field in SCAN_COLUMNS} for e in entries]
     if args.format == "json":
-        records = [
-            {
-                "epsilon": e.eps,
-                "direct": e.direct,
-                "residues": e.residues,
-                "abs_err": e.abs_error,
-                "rel_err": e.rel_error,
-                "pairs_used": e.pairs_used,
-                "im_leakage": e.imag_leakage,
-                "error": e.error,
-            }
-            for e in entries
-        ]
+        records = [row | {"error": e.error} for row, e in zip(rows, entries)]
         _emit(_json_render(records) + "\n", args.output)
         return 0
-    rows = [CSV_HEADER, CSV_COLUMNS]
-    for e in entries:
-        rows.append(
-            ",".join(
-                [
-                    fmt(e.eps),
-                    fmt(e.direct),
-                    fmt(e.residues),
-                    fmt(e.abs_error),
-                    fmt(e.rel_error),
-                    str(e.pairs_used),
-                    fmt(e.imag_leakage),
-                ]
-            )
-        )
-    _emit("".join(r + "\n" for r in rows), args.output)
+    lines = [CSV_HEADER, CSV_COLUMNS]
+    lines += [",".join(fmt(v) if isinstance(v, float) else str(v) for v in row.values())
+              for row in rows]
+    _emit("".join(line + "\n" for line in lines), args.output)
     return 0
 
 

@@ -13,9 +13,10 @@ edges of a whole generation are certified in one batch, and each segment
 is cached in both orientations, so an edge two rectangles share is
 certified once.  Conjugate symmetry leaves a thin band around the real
 axis and the upper half to search; the first generation's counts of these
-two also give the window's total.  Either route returns a ``ZeroSet``: the
-zeros, their multiplicities and residuals as read-only arrays, sorted by
-(Im, Re) and exactly conjugate-symmetric.
+two also give the window's total.  Both routes compute only the real axis
+and the upper half, and return a ``ZeroSet`` that mirrors them: the zeros,
+their multiplicities and residuals as read-only arrays, sorted by (Im, Re)
+and exactly conjugate-symmetric.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class ZeroSet:
     The read-only arrays are sorted by (Im, Re) and exactly
     conjugate-symmetric, so ``omega`` is the lower half, the real zeros and
     the upper half, in that order: the slices ``lower``, ``reals`` and
-    ``upper``.
+    ``upper``.  The lower half is a copy of the upper one, conjugated.
     """
 
     omega: np.ndarray
@@ -71,31 +72,26 @@ class ZeroSet:
 
     @classmethod
     def build(cls, ratios: RatioList, raw) -> "ZeroSet":
-        """From (zero, multiplicity) pairs: zeros within 1e-9 of the real
-        axis are put on it, the lower half is the conjugate of the upper
-        half, and zeros within 1e-8 of an earlier one are dropped."""
-        reals, uppers = [], []
-        for s, mult in raw:
-            if abs(s.imag) <= _REAL_IM_TOL:
-                reals.append((complex(s.real, 0.0), mult))
-            elif s.imag > 0.0:
-                uppers.append((s, mult))
-
-        def dedup(entries):
-            out = []
-            for s, mult in sorted(entries, key=lambda e: (e[0].imag, e[0].real)):
-                if out and abs(out[-1][0] - s) <= _DEDUP_DISTANCE:
-                    continue
-                out.append((s, mult))
-            return out
-
-        uppers = dedup(uppers)
-        entries = sorted([(s.conjugate(), m) for s, m in uppers] + dedup(reals) + uppers,
-                         key=lambda e: (e[0].imag, e[0].real))
-        omega = np.array([s for s, _ in entries], dtype=np.complex128)
-        f = dirichlet_poly(ratios, omega).tolist()
-        return cls._of(omega, np.array([m for _, m in entries], dtype=np.int64),
-                       np.array([abs(v) for v in f]))
+        """From (zero, multiplicity) pairs of the real axis and the upper
+        half: zeros within 1e-9 of the real axis are put on it, zeros below
+        it are ignored, a zero within 1e-8 of the last one kept in (Im, Re)
+        order is dropped, and the lower half is the conjugate of the upper
+        half, with its multiplicities and residuals."""
+        on_axis = ((complex(s.real, 0.0) if abs(s.imag) <= _REAL_IM_TOL else s, m)
+                   for s, m in raw)
+        half = []
+        for s, mult in sorted(on_axis, key=lambda e: (e[0].imag, e[0].real)):
+            if s.imag < 0.0 or half and abs(half[-1][0] - s) <= _DEDUP_DISTANCE:
+                continue
+            half.append((s, mult))
+        omega = np.array([s for s, _ in half], dtype=np.complex128)
+        mult = np.array([m for _, m in half], dtype=np.int64)
+        residual = np.array([abs(v) for v in dirichlet_poly(ratios, omega).tolist()])
+        upper = np.flatnonzero(omega.imag > 0.0)
+        lower = upper[np.lexsort((omega.real[upper], -omega.imag[upper]))]
+        return cls._of(np.concatenate((omega[lower].conj(), omega)),
+                       np.concatenate((mult[lower], mult)),
+                       np.concatenate((residual[lower], residual)))
 
     @classmethod
     def _of(cls, omega, multiplicity, residual) -> "ZeroSet":
@@ -230,7 +226,9 @@ def lattice_zeros(structure: LatticeStructure, ratios: RatioList, im_window: flo
 
     Substituting z = base**s turns 1 - sum(r_j^s) into 1 - sum(z^k_j); its
     roots, lifted through the principal logarithm, generate the vertical
-    zero families s = ln(z)/ln(base) + i*k*period.
+    zero families s = ln(z)/ln(base) + i*k*period.  Only the lifts on the
+    real axis and above it are screened and polished; ``ZeroSet.build``
+    mirrors them.
     """
     if not structure.is_lattice:
         raise DomainError("lattice_zeros requires a lattice ratio list")
@@ -251,7 +249,7 @@ def lattice_zeros(structure: LatticeStructure, ratios: RatioList, im_window: flo
     lifts = []
     for z, mult in _cluster_roots(list(map(complex, roots))):
         s0 = cmath.log(z) / log_base  # z != 0: the constant term is 1
-        k_lo = math.ceil((-tol_t - s0.imag) / period)
+        k_lo = math.ceil((-_REAL_IM_TOL - s0.imag) / period)
         k_hi = math.floor((tol_t - s0.imag) / period)
         lifts += [(complex(s0.real, s0.imag + k * period), mult)
                   for k in range(k_lo, k_hi + 1)]

@@ -7,7 +7,9 @@ eps^(n-s) N(s) / (1 - sum r_j^s) over the integer poles 0..n-1 and the
 complex dimensions.  At a simple zero omega the residue is
 eps^(n-omega) c with c = N(omega)/f'(omega) independent of eps, so a
 ``ResidueExpansion`` computes every c once per (model, ``ZeroSet``, pairs)
-in one array pass and each eps costs one exponential per kept zero.
+in one array pass.  The residue at conj(omega) is the conjugate of the one
+at omega, so the expansion holds the real zeros and the upper half only,
+and each eps costs one exponential per real zero or conjugate pair.
 Zeros that are multiple or have a near-degenerate f' keep a per-eps
 contour integral.  Truncation is by conjugate pairs ordered by |Im|, so
 every partial sum is real up to rounding.
@@ -223,11 +225,13 @@ def _check_residue_eps(gen: MonophaseGenerator, eps: float) -> None:
 class ResidueExpansion:
     """The eps-independent part of the truncated residue sum.
 
-    ``omegas`` holds the kept zeros of ``zeros`` in summation order: the
-    real zeros, then each of the ``pairs`` lowest upper-half zeros followed
-    by its conjugate.  ``coeffs`` holds N(omega)/f'(omega) at simple zeros
-    and NaN at the zeros listed in ``fallbacks`` (index, multiplicity),
-    whose residues are contour integrals taken per eps, sized by all of
+    ``omegas`` holds the kept zeros of ``zeros`` once per conjugate pair:
+    the real zeros, then the ``pairs`` lowest upper-half zeros.  The
+    residue at conj(omega) is the conjugate of the residue at omega, as the
+    integrand is real on the real axis, so the lower half is never
+    evaluated.  ``coeffs`` holds N(omega)/f'(omega) at simple zeros and NaN
+    at the zeros listed in ``fallbacks`` (index, multiplicity), whose
+    residues are contour integrals taken per eps, sized by all of
     ``zeros``.
     """
 
@@ -250,24 +254,20 @@ class ResidueExpansion:
             raise DomainError("pair count must be nonnegative")
         if zeros is None:
             zeros = find_complex_dimensions(model, im_window)
-        upper = zeros.omega[zeros.upper]
-        if pairs > len(upper):
+        available = len(zeros.omega[zeros.upper])
+        if pairs > available:
             raise WindowError(
-                f"{pairs} conjugate pairs requested but only {len(upper)} lie "
+                f"{pairs} conjugate pairs requested but only {available} lie "
                 f"inside the window |Im| <= {im_window}"
             )
-        upper = upper[:pairs]
-        omegas = np.concatenate((zeros.omega[zeros.reals],
-                                 np.column_stack((upper, upper.conj())).ravel()))
-        mults = np.concatenate((zeros.multiplicity[zeros.reals],
-                                np.repeat(zeros.multiplicity[zeros.upper][:pairs], 2)))
+        kept = slice(zeros.reals.start, zeros.upper.start + pairs)
+        omegas, mults = zeros.omega[kept], zeros.multiplicity[kept]
 
         deriv = dirichlet_poly_deriv(model.ratios, omegas)
         simple = _is_simple(mults, deriv)
         coeffs = np.full_like(omegas, complex(math.nan, math.nan))
         coeffs[simple] = mellin_numerator(model.generator, omegas[simple]) / deriv[simple]
-        for a in (omegas, coeffs):
-            a.flags.writeable = False
+        coeffs.flags.writeable = False
         return cls(
             model=model,
             pairs=pairs,
@@ -290,9 +290,13 @@ class ResidueExpansion:
             residues[k] = zero_residue(self.model, complex(self.omegas[k]), mult, eps,
                                        others=self.zeros.omega.tolist()).value
         poles = [integer_pole_residue(self.model, i, eps) for i in range(n)]
-        terms = np.concatenate((poles, residues))
-        # Partial sums: after the poles and real zeros, then after each pair.
-        real_count = len(self.omegas) - 2 * self.pairs
+        # Each upper-half residue is followed by its conjugate, the residue
+        # at the conjugate zero.  Partial sums: after the poles and real
+        # zeros, then after each pair.
+        real_count = len(self.omegas) - self.pairs
+        upper = residues[real_count:]
+        terms = np.concatenate((poles, residues[:real_count],
+                                np.column_stack((upper, upper.conj())).ravel()))
         partials = compensated_cumsum(terms)[n + real_count - 1::2]
         sums = tuple(partials.real.tolist())
         if direct is None:

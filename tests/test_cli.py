@@ -6,6 +6,8 @@ import pytest
 from tubeforge import cli
 from tubeforge.cli import main
 from tubeforge.errors import ConvergenceError
+from tubeforge.model import spray_from_dict
+from tubeforge.tubeformula import inverse_mellin_numeric, tube_volume_residues
 
 CANTOR_CONFIG = {
     "dimension": 1,
@@ -14,11 +16,38 @@ CANTOR_CONFIG = {
 }
 
 
+# V_G = 2 eps^2 - eps/2 on (0, 1]: continuous at g = 1, decreasing below 1/8.
+NONMONOTONE_CONFIG = {
+    "dimension": 2,
+    "ratios": [0.5, 0.5, 0.5],
+    "generator": {"kappa": [2.0, -0.5], "inradius": 1.0, "volume": 1.5},
+}
+# The Cantor string with a generator volume that breaks continuity at g.
+DISCONTINUOUS_CONFIG = dict(CANTOR_CONFIG,
+                            generator={"kappa": [2.0], "inradius": 1 / 6, "volume": 0.5})
+# Lattice {1/4, 1/16}: two of its five zeros with |Im| <= 5 lie at Re -0.347.
+QUARTER_CONFIG = {
+    "dimension": 1,
+    "ratios": [0.25, 1 / 16],
+    "generator": {"kappa": [2.0], "inradius": 0.25, "volume": 0.5},
+}
+# Nonlattice {1/2, 1/3}: two of its seven zeros with |Im| <= 20 lie at Re -0.638.
+HALF_THIRD_CONFIG = {
+    "dimension": 1,
+    "ratios": [0.5, 1 / 3],
+    "generator": {"kappa": [2.0], "inradius": 0.5, "volume": 1.0},
+}
+
+
+def write_config(tmp_path, name, data):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 @pytest.fixture
 def cantor_config(tmp_path):
-    path = tmp_path / "cantor.json"
-    path.write_text(json.dumps(CANTOR_CONFIG))
-    return str(path)
+    return write_config(tmp_path, "cantor", CANTOR_CONFIG)
 
 
 def run(capsys, *argv):
@@ -46,6 +75,41 @@ class TestValidate:
         assert code == 2
         assert "error:" in err
 
+    def test_skip_monotonicity(self, capsys, tmp_path):
+        path = write_config(tmp_path, "nonmonotone", NONMONOTONE_CONFIG)
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 2
+        assert out == ("FAIL: tube polynomial is decreasing inside (0, g], first bad "
+                       "sample eps = 0.000244140625\n")
+        code, out, _ = run(capsys, "validate", path, "--skip-monotonicity")
+        assert code == 0
+        assert out.startswith("PASS")
+
+
+class TestSkipFlags:
+    """A model command refuses an invalid spray unless its check is skipped."""
+
+    def test_skip_monotonicity(self, capsys, tmp_path):
+        path = write_config(tmp_path, "nonmonotone", NONMONOTONE_CONFIG)
+        code, out, err = run(capsys, "dim", path)
+        assert code == 2 and out == ""
+        assert "tube polynomial is decreasing" in err
+        code, out, _ = run(capsys, "dim", path, "--skip-monotonicity")
+        assert code == 0
+        assert float(out.split()[1]) == pytest.approx(math.log2(3), abs=1e-12)
+
+    def test_skip_validation(self, capsys, tmp_path):
+        path = write_config(tmp_path, "discontinuous", DISCONTINUOUS_CONFIG)
+        for flags in ((), ("--skip-monotonicity",)):
+            code, out, err = run(capsys, "tube", path, "--eps", "0.1", "--method", "direct",
+                                 *flags)
+            assert code == 2 and out == ""
+            assert "continuity at the inradius violated" in err
+        code, out, _ = run(capsys, "tube", path, "--eps", "0.1", "--method", "direct",
+                           "--skip-validation")
+        assert code == 0
+        assert out.startswith("direct ")
+
 
 class TestDim:
     def test_prints_dimension(self, capsys, cantor_config):
@@ -67,6 +131,31 @@ class TestCzeros:
         assert all(rec["residual"] < 1e-10 for rec in records)
         ims = [rec["im"] for rec in records]
         assert ims == sorted(ims)
+
+    @pytest.mark.parametrize("config, window, count, kept", [
+        (QUARTER_CONFIG, "5", 5, 3),
+        (HALF_THIRD_CONFIG, "20", 7, 5),
+    ])
+    def test_re_floor(self, capsys, tmp_path, config, window, count, kept):
+        path = write_config(tmp_path, "spray", config)
+        code, out, _ = run(capsys, "czeros", path, "--T", window)
+        assert code == 0
+        everything = json.loads(out)
+        code, out, _ = run(capsys, "czeros", path, "--T", window, "--re-floor", "0")
+        assert code == 0
+        records = json.loads(out)
+        assert len(records) == kept < count == len(everything)
+        assert all(rec["re"] >= 0.0 and rec["residual"] < 1e-10 for rec in records)
+        expected = [rec for rec in everything if rec["re"] >= 0.0]
+        for rec, want in zip(records, expected):
+            assert rec["re"] == pytest.approx(want["re"], abs=1e-12)
+            assert rec["im"] == pytest.approx(want["im"], abs=1e-12)
+
+    def test_re_floor_right_of_the_window_exit_2(self, capsys, tmp_path):
+        path = write_config(tmp_path, "spray", HALF_THIRD_CONFIG)
+        code, _, err = run(capsys, "czeros", path, "--T", "20", "--re-floor", "2")
+        assert code == 2
+        assert "right of D + 1/2" in err
 
     def test_output_file(self, capsys, cantor_config, tmp_path):
         dest = tmp_path / "zeros.json"
@@ -97,6 +186,38 @@ class TestTube:
                            "--method", "invmellin")
         assert code == 0
         assert abs(float(out.split()[1]) - 13 / 15) < 1e-2
+
+    def test_residues_window(self, capsys, cantor_config):
+        # Five pairs need |Im| <= 5 * 2pi/ln 3 = 28.6.
+        code, out, _ = run(capsys, "tube", cantor_config, "--eps", "0.1",
+                           "--method", "residues", "--pairs", "5", "--T", "30")
+        assert code == 0
+        model = spray_from_dict(CANTOR_CONFIG)
+        want = tube_volume_residues(model, 0.1, 5, 30.0).residue_value
+        assert out == f"residues {want:.17g}\n"
+        code, _, err = run(capsys, "tube", cantor_config, "--eps", "0.1",
+                           "--method", "residues", "--pairs", "5", "--T", "20")
+        assert code == 2
+        assert "5 conjugate pairs requested but only 3" in err
+
+    def test_invmellin_half_length_and_abscissa(self, capsys, cantor_config):
+        model = spray_from_dict(CANTOR_CONFIG)
+        for flags, kwargs in ((("--T", "100"), {"half_length": 100.0}),
+                              (("--c", "0.8"), {"c": 0.8}),
+                              (("--T", "100", "--c", "0.9"), {"half_length": 100.0, "c": 0.9})):
+            code, out, _ = run(capsys, "tube", cantor_config, "--eps", "0.1",
+                               "--method", "invmellin", *flags)
+            assert code == 0
+            want = inverse_mellin_numeric(model, 0.1, **kwargs)
+            assert out == f"invmellin {want:.17g}\n"
+            assert abs(want - 13 / 15) < 1e-2
+
+    @pytest.mark.parametrize("c", ["0.5", "1.0", "1.5"])
+    def test_abscissa_outside_the_strip_exit_2(self, capsys, cantor_config, c):
+        code, out, err = run(capsys, "tube", cantor_config, "--eps", "0.1",
+                             "--method", "invmellin", "--c", c)
+        assert code == 2 and out == ""
+        assert "outside the strip" in err
 
     def test_eps_beyond_inradius_exit_2(self, capsys, cantor_config):
         code, _, err = run(capsys, "tube", cantor_config, "--eps", "0.2",

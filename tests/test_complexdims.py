@@ -17,6 +17,7 @@ from tubeforge import (
     count_zeros_rectangle,
     detect_lattice,
     find_complex_dimensions,
+    ZeroSet,
     lattice_zeros,
     mellin_numerator,
     refine_zero,
@@ -95,6 +96,34 @@ class TestZeroSet:
         assert lowers == sorted((w.conjugate() for w in uppers), key=lambda w: (w.imag, w.real))
         assert lowers + reals + uppers == omegas
         assert zeros.residual.tolist() == [abs(dirichlet_poly(rl, w)) for w in omegas]
+
+    @pytest.mark.parametrize("route, ratios", [
+        ("lattice", [0.4297, 0.4297**2, 0.4297**3]),
+        ("argument-principle", [0.5, 1 / 3]),
+    ])
+    def test_upper_half_builds_the_whole_set(self, route, ratios):
+        rl = RatioList(ratios)
+        window = window_for_pairs(rl, 30)
+        if route == "lattice":
+            zeros = lattice_zeros(detect_lattice(rl), rl, window)
+        else:
+            right = similarity_dimension(rl).value + 0.5
+            zeros = _argument_principle_zeros(rl, zero_free_abscissa(rl), right, window)
+        both = list(zip(zeros.omega.tolist(), zeros.multiplicity.tolist()))
+        half = [(w, m) for w, m in both if w.imag >= 0.0]
+        assert len(half) < len(both)
+        for built in (ZeroSet.build(rl, half), ZeroSet.build(rl, both)):
+            for got, want in ((built.omega, zeros.omega),
+                              (built.multiplicity, zeros.multiplicity),
+                              (built.residual, zeros.residual)):
+                assert got.tobytes() == want.tobytes()
+            assert (built.lower, built.reals, built.upper) == (
+                zeros.lower, zeros.reals, zeros.upper)
+
+    def test_zero_within_dedup_distance_of_a_real_zero(self):
+        rl = RatioList([1 / 3, 1 / 3])
+        zeros = ZeroSet.build(rl, [(complex(CANTOR_D), 1), (complex(CANTOR_D, 5e-9), 1)])
+        assert zeros.omega.tolist() == [complex(CANTOR_D)]
 
     def test_re_floor_keeps_the_invariants(self):
         model = SprayModel(RatioList([0.25, 1 / 16]), MonophaseGenerator(1, [2.0], 0.25, 0.5))
@@ -416,6 +445,21 @@ class TestNodeBudget:
         model = square_spray()
         find_complex_dimensions(model, window_for_pairs(model.ratios, 100))
         assert nodes[0] <= 10_820  # measured 10,306
+
+    def test_lattice_lifts_only_the_upper_half(self, nodes, monkeypatch):
+        calls = [0]
+        original = complexdims.refine_zero
+
+        def counted(ratios, seed):
+            calls[0] += 1
+            return original(ratios, seed)
+
+        monkeypatch.setattr(complexdims, "refine_zero", counted)
+        b = 0.4297
+        rl = RatioList([b, b**2, b**3])
+        lattice_zeros(detect_lattice(rl), rl, window_for_pairs(rl, 500))
+        assert nodes[0] <= 1_190  # measured 1,132
+        assert calls[0] <= 15  # measured 15
 
     def test_near_lattice_one_pair(self, nodes):
         model = _interval_model([0.5, 0.25 * (1 + 1e-5)])

@@ -11,6 +11,7 @@ from tubeforge import (
     DomainError,
     MonophaseGenerator,
     RatioList,
+    ResidueExpansion,
     ResourceLimitError,
     SprayModel,
     compare,
@@ -492,6 +493,17 @@ class TestScalingExponentFit:
         deep = float(np.polyfit(np.log(eps), np.log(vols), 1)[0])
         target = 2 - similarity_dimension(square.ratios).value
         assert abs(deep - target) < abs(d30 - target)
+
+    def test_integer_pole_explains_the_square_slope(self, square):
+        # The residue side with no conjugate pair, only the integer poles
+        # and the real zero (V ~ 47.69 eps^(2-D) - 48 eps + 2 eps^2), fits
+        # the direct slope: the -48 eps term of the pole at s = 1 keeps the
+        # fit below n - D over m = 1..30, not the complex dimensions.
+        expansion = ResidueExpansion.build(square, 0, 1.0)
+        eps = square.generator.inradius * 2.0 ** -np.arange(1, 31)
+        vols = [expansion.evaluate(float(e)).partial_sums[0] for e in eps]
+        slope = float(np.polyfit(np.log(eps), np.log(vols), 1)[0])
+        assert abs(slope - scaling_exponent_fit(square, 30)) < 1e-5  # measured 6.3e-7
 
     def test_depth_stability_cantor(self, cantor):
         assert abs(scaling_exponent_fit(cantor, 8) - scaling_exponent_fit(cantor, 30)) < 0.1

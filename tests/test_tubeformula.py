@@ -238,7 +238,7 @@ class TestResidueExpansion:
         g = model.generator.inradius
         expansion = assert_matches_oracle(
             model, [f * g for f in eps_fractions], pairs, window, zeros)
-        assert len(expansion.omegas) == 2 * pairs + 1
+        assert len(expansion.omegas) == pairs + 1
         assert expansion.fallbacks == ()
 
     def test_matches_per_zero_oracle_square(self, square, square_zeros_200_pairs):
@@ -251,7 +251,7 @@ class TestResidueExpansion:
         window = window_for_pairs(cantor.ratios, 20)
         zeros = find_complex_dimensions(cantor, window)
         expansion = assert_matches_oracle(cantor, [0.1, 0.03], 20, window, zeros)
-        assert len(expansion.fallbacks) == len(expansion.omegas) == 41
+        assert len(expansion.fallbacks) == len(expansion.omegas) == 21
         assert np.isnan(expansion.coeffs).all()
 
     @pytest.mark.parametrize("omega", [1e-13, 1.0 - 5e-13])
@@ -312,7 +312,8 @@ class TestCompare:
         assert "eps < g" in entries[1].error
 
     def test_coefficients_once_per_zero(self, cantor, monkeypatch):
-        """A 200-eps grid evaluates N and f' once per kept zero in total."""
+        """A 200-eps grid evaluates N and f' once per kept real zero or
+        conjugate pair in total."""
         nodes = {"mellin_numerator": 0, "dirichlet_poly_deriv": 0}
 
         def counting(name):
@@ -330,7 +331,7 @@ class TestCompare:
         grid = np.geomspace(g * 1e-3, 0.9 * g, 200)
         entries = compare(cantor, grid, 500, window_for_pairs(cantor.ratios, 500))
         assert all(e.error == "" and e.rel_error < 1e-2 for e in entries)
-        kept = 2 * 500 + 1
+        kept = 500 + 1
         assert 0 < nodes["mellin_numerator"] <= kept
         assert 0 < nodes["dirichlet_poly_deriv"] <= kept
 
