@@ -9,6 +9,7 @@ non-convergence, 4 resource guard (selftest failures exit 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -323,7 +324,13 @@ def _cmd_selftest(_args) -> int:
     return 0 if passed == len(checks) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main`` call.
+
+    ``parse_args`` leaves the parser unchanged, so in-process callers that
+    run many commands pay for it once; nothing is built at import.
+    """
     parser = argparse.ArgumentParser(
         prog="tubeforge",
         description="Inner tube volumes of self-similar sprays: exact direct "

@@ -9,9 +9,11 @@ selftest, so those three are test-only.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,10 +119,13 @@ def test_10_inversion_cross_check():
 
 
 def test_11_selftest_determinism():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     runs = []
     for _ in range(2):
         proc = subprocess.run([sys.executable, "-m", "tubeforge", "selftest"],
-                              capture_output=True)
+                              capture_output=True, env=env)
         assert proc.returncode == 0, proc.stdout.decode()
         runs.append(proc.stdout)
     report(11, "selftest determinism", runs[0] == runs[1],

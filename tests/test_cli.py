@@ -269,6 +269,44 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+class TestSharedParser:
+    def test_calls_in_one_process_match_a_fresh_parser(self, capsys, monkeypatch,
+                                                      cantor_config, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(cli, "acceptance_checks",
+                            lambda: [(1, "stub", lambda: (False, "patched"))])
+        written = tmp_path / "tube.txt"
+        sequence = [
+            ["czeros", cantor_config, "--T", "10"],
+            ["tube", cantor_config, "--eps", "0.01"],  # no --method: argparse exits 2
+            ["tube", cantor_config, "--eps", "0.01", "--method", "direct", "-o", str(written)],
+            ["scan", cantor_config, "--grid", "0.02:0.3:3", "--pairs", "5", "--format", "json"],
+            ["selftest"],
+        ]
+
+        def run_sequence(fresh):
+            results = []
+            for argv in sequence:
+                if fresh:
+                    cli.build_parser.cache_clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                out, err = capsys.readouterr()
+                text = written.read_text() if written.exists() else None
+                written.unlink(missing_ok=True)
+                results.append((code, out, err, text))
+            return results
+
+        fresh = run_sequence(fresh=True)
+        assert [r[0] for r in fresh] == [0, 2, 0, 0, 1]
+        assert fresh[2][3].startswith("direct ")
+        assert fresh[4][1] == "FAIL  1 stub: patched\nselftest: 0/1 passed\n"
+        assert run_sequence(fresh=False) == fresh
+        assert run_sequence(fresh=False) == fresh
+
+
 class TestSelftest:
     def test_one_line_per_row_then_summary(self, capsys):
         code, out, _ = run(capsys, "selftest")

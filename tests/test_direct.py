@@ -226,6 +226,25 @@ def split_identity_error(factors, ratios, n, threshold):
     return abs(value * (1.0 - s) - 1.0)
 
 
+def direct_terms(model, factors, eps):
+    """The head and boundary terms of V(eps) from ``factors``, as floats.
+
+    Head vector v contributes mult lam^n V_G(eps/lam); the boundary word
+    v + e_j contributes Vol(G)/(1 - sum m r^n) mult lam^n m_j r_j^n.
+    """
+    gen = model.generator
+    n = gen.dimension
+    threshold = eps / gen.inradius
+    head = factors.lam > threshold
+    weight = factors.mult * factors.lam**n
+    x = eps / factors.lam[head]
+    tube = np.where(x >= gen.inradius, gen.volume, gen.polynomial_at(x))
+    power = np.array([m * r**n for r, m in model.ratios.distinct])
+    boundary = head[:, None] & (factors.child_lam <= threshold)
+    tail = (total_spray_volume(model) * weight[:, None] * power)[boundary]
+    return (weight[head] * tube).tolist() + tail.tolist()
+
+
 class TestFactorMultiplicities:
     def test_matches_word_enumeration(self):
         rl = RatioList([0.5, 1 / 3, 0.5])
@@ -363,6 +382,82 @@ class TestDirectExpansion:
             expansion.evaluate(0.005)
         with pytest.raises(DomainError):
             DirectExpansion.build(cantor, 0.0)
+
+    def test_is_the_fsum_of_head_and_boundary_terms(self, square):
+        g = square.generator.inradius
+        expansion = DirectExpansion.build(square, g * 2.0**-100)
+        factors = factor_multiplicities(square.ratios, 2.0**-100)
+        sizes = set()
+        for k in range(1, 101):
+            eps = g * 2.0**-k
+            terms = direct_terms(square, factors, eps)
+            sizes.add(len(terms) >= direct_mod.BINNED_SUM_MIN_TERMS)
+            assert expansion.evaluate(eps) == math.fsum(terms)
+        assert sizes == {False, True}  # both sides of the size cut
+
+
+class TestFsumArray:
+    """``fsum_array`` is ``math.fsum`` over the list, bit for bit."""
+
+    @staticmethod
+    def check(x):
+        def outcome(fsum, values):
+            try:
+                return repr(fsum(values))
+            except (OverflowError, ValueError) as exc:
+                return type(exc)
+
+        x = np.asarray(x, dtype=float)
+        assert outcome(direct_mod.fsum_array, x) == outcome(math.fsum, x.tolist())
+
+    @pytest.mark.parametrize("size", [1, 2, 50, 999, 1000, 1001, 4096, 60_000])
+    @pytest.mark.parametrize("span", [1, 60, 400, 1000])
+    def test_seeded_random_nonnegative(self, size, span):
+        rng = np.random.default_rng(size * 7919 + span)
+        for _ in range(3):
+            x = rng.uniform(0.5, 1.0, size) * 2.0 ** rng.integers(-span // 2, span // 2 + 1, size)
+            self.check(x)
+
+    def test_signed_terms_that_cancel(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(5000) * 2.0 ** rng.integers(-300, 300, 5000)
+        self.check(np.concatenate((x, -x[:4000], [1e-300])))
+
+    def test_single_term_and_zeros(self):
+        for x in ([0.3], [0.0], [], np.zeros(3000), np.r_[np.zeros(2999), 2.0**-1000]):
+            self.check(x)
+
+    def test_equal_terms_carry_across_exponents(self):
+        # Every mantissa bit set: the per-exponent totals carry many times.
+        for value, count in ((1.0 - 2.0**-53, 1 << 20), (0.1, 3000), (2.0**-1021, 5000)):
+            self.check(np.full(count, value))
+
+    def test_subnormal_range(self):
+        rng = np.random.default_rng(3)
+        tiny = rng.uniform(0.5, 1.0, 4000) * 2.0 ** rng.integers(-1040, -1015, 4000)
+        subnormal = rng.integers(1, 2**52, 4000) * 5e-324
+        for x in (tiny, subnormal, np.r_[tiny, subnormal, 1.0], np.full(5000, 2.0**-1022 - 5e-324)):
+            self.check(x)
+
+    def test_near_overflow(self):
+        rng = np.random.default_rng(4)
+        big = rng.uniform(0.5, 1.0, 3000)
+        for scale in (2.0**996, 2.0**1000, 2.0**1014):
+            self.check(big * scale)
+            self.check(np.r_[big * scale, -big * scale])  # partial sums overflow
+
+    def test_non_finite_terms(self):
+        finite = np.linspace(1.0, 2.0, 2000)
+        for extra in ([math.inf], [-math.inf], [math.nan], [math.inf, math.nan],
+                      [math.inf, -math.inf]):
+            self.check(np.r_[finite, extra])
+
+    def test_beyond_the_exact_term_count(self, monkeypatch):
+        # Below 2^26 terms the totals of mantissa halves below 2^26 and of
+        # fractions in 2^-27 below 1 keep within 53 bits; beyond, math.fsum.
+        assert direct_mod.BINNED_SUM_MAX_TERMS <= 2**26
+        monkeypatch.setattr(direct_mod, "BINNED_SUM_MAX_TERMS", 2000)
+        self.check(np.full(4000, 1.0 - 2.0**-53))
 
 
 class TestWorkBudget:
