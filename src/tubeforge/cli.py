@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: validate, dim, czeros, tube, scan, selftest.  All numeric
-output uses 17 significant digits so values round-trip exactly.  Exit
-codes: 0 success, 2 configuration/validation/domain error, 3 numerical
-non-convergence, 4 resource guard (selftest failures exit 1).
+Subcommands: validate, dim, czeros, tube, scan, selftest.  A command returns
+(exit code, text); ``main`` alone writes the text, to stdout or ``--output``.
+All numeric output uses 17 significant digits so values round-trip exactly.
+Exit codes: 0 success, 2 configuration/validation/domain error or unwritable
+output, 3 numerical non-convergence, 4 resource guard (selftest failures 1).
 """
 
 from __future__ import annotations
@@ -74,20 +75,10 @@ def _json_render(obj, indent=0):
     return f'{pad}"{escaped}"'
 
 
-def _emit(text: str, output):
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _load_validated(args):
     model = load_spray(args.config)
-    if not getattr(args, "skip_validation", False):
-        report = validate_spray(
-            model, check_monotonic=not getattr(args, "skip_monotonicity", False)
-        )
+    if not args.skip_validation:
+        report = validate_spray(model, check_monotonic=not args.skip_monotonicity)
         if not report.ok:
             raise SprayValidationError("; ".join(report.failures))
     return model
@@ -96,9 +87,7 @@ def _load_validated(args):
 def _parse_grid(spec: str):
     parts = spec.split(":")
     if len(parts) not in (3, 4):
-        raise ConfigError(
-            f"grid must be start:stop:count[:linear|log], got {spec!r}"
-        )
+        raise ConfigError(f"grid must be start:stop:count[:linear|log], got {spec!r}")
     try:
         start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
@@ -109,8 +98,8 @@ def _parse_grid(spec: str):
         raise ConfigError(f"grid spacing must be 'linear' or 'log', got {spacing!r}")
     if count < 1:
         raise ConfigError("grid count must be at least 1")
-    if not (start > 0.0 and stop > 0.0):
-        raise ConfigError("grid endpoints must be strictly positive")
+    if not (0.0 < start < math.inf and 0.0 < stop < math.inf):
+        raise ConfigError(f"grid endpoints must be finite and positive, got {spec!r}")
     if count == 1:
         return [start]
     if spacing == "linear":
@@ -124,78 +113,66 @@ def _parse_grid(spec: str):
     return grid
 
 
-def _cmd_validate(args) -> int:
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _named(*items) -> str:
+    """One ``name value`` line per (name, float) item."""
+    return _lines(f"{name} {fmt(value)}" for name, value in items)
+
+
+def _window(args, model) -> float:
+    return args.T if args.T is not None else window_for_pairs(model.ratios, args.pairs)
+
+
+def _cmd_validate(args) -> tuple[int, str]:
     model = load_spray(args.config)
     report = validate_spray(model, check_monotonic=not args.skip_monotonicity)
     if report.ok:
-        print("PASS: all spray invariants hold")
-        return 0
-    for failure in report.failures:
-        print(f"FAIL: {failure}")
-    return 2
+        return 0, "PASS: all spray invariants hold\n"
+    return 2, _lines(f"FAIL: {failure}" for failure in report.failures)
 
 
-def _cmd_dim(args) -> int:
+def _cmd_dim(args) -> tuple[int, str]:
+    dim = similarity_dimension(_load_validated(args).ratios)
+    return 0, _named(("D", dim.value), ("residual", dim.residual))
+
+
+def _cmd_czeros(args) -> tuple[int, str]:
+    zeros = find_complex_dimensions(_load_validated(args), args.T, re_floor=args.re_floor)
+    columns = (zeros.omega.tolist(), zeros.multiplicity.tolist(), zeros.residual.tolist())
+    records = [{"re": w.real, "im": w.imag, "multiplicity": m, "residual": r}
+               for w, m, r in zip(*columns)]
+    return 0, _json_render(records) + "\n"
+
+
+def _cmd_tube(args) -> tuple[int, str]:
     model = _load_validated(args)
-    dim = similarity_dimension(model.ratios)
-    print(f"D {fmt(dim.value)}")
-    print(f"residual {fmt(dim.residual)}")
-    return 0
-
-
-def _cmd_czeros(args) -> int:
-    model = _load_validated(args)
-    zeros = find_complex_dimensions(model, args.T, re_floor=args.re_floor)
-    records = [
-        {"re": w.real, "im": w.imag, "multiplicity": m, "residual": r}
-        for w, m, r in zip(zeros.omega.tolist(), zeros.multiplicity.tolist(),
-                           zeros.residual.tolist())
-    ]
-    _emit(_json_render(records) + "\n", args.output)
-    return 0
-
-
-def _cmd_tube(args) -> int:
-    model = _load_validated(args)
-    lines = []
     if args.method == "direct":
-        lines.append(f"direct {fmt(direct_tube_volume(model, args.eps))}")
-    if args.method in ("residues", "both"):
-        window = args.T if args.T is not None else window_for_pairs(
-            model.ratios, args.pairs
-        )
-        ev = tube_volume_residues(model, args.eps, args.pairs, window)
-        if args.method == "both":
-            lines.append(f"direct {fmt(ev.direct)}")
-        lines.append(f"residues {fmt(ev.residue_value)}")
-        if args.method == "both":
-            lines.append(f"abs_err {fmt(ev.abs_error)}")
-            lines.append(f"rel_err {fmt(ev.rel_error)}")
+        return 0, _named(("direct", direct_tube_volume(model, args.eps)))
     if args.method == "invmellin":
         half = args.T if args.T is not None else 200.0
         value = inverse_mellin_numeric(model, args.eps, c=args.c, half_length=half)
-        lines.append(f"invmellin {fmt(value)}")
-    _emit("".join(line + "\n" for line in lines), args.output)
-    return 0
+        return 0, _named(("invmellin", value))
+    ev = tube_volume_residues(model, args.eps, args.pairs, _window(args, model))
+    if args.method == "residues":
+        return 0, _named(("residues", ev.residue_value))
+    return 0, _named(("direct", ev.direct), ("residues", ev.residue_value),
+                     ("abs_err", ev.abs_error), ("rel_err", ev.rel_error))
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[int, str]:
     model = _load_validated(args)
-    grid = _parse_grid(args.grid)
-    window = args.T if args.T is not None else window_for_pairs(
-        model.ratios, args.pairs
-    )
-    entries = compare(model, grid, args.pairs, window)
+    entries = compare(model, _parse_grid(args.grid), args.pairs, _window(args, model))
     rows = [{name: getattr(e, field) for name, field in SCAN_COLUMNS} for e in entries]
     if args.format == "json":
         records = [row | {"error": e.error} for row, e in zip(rows, entries)]
-        _emit(_json_render(records) + "\n", args.output)
-        return 0
+        return 0, _json_render(records) + "\n"
     lines = [CSV_HEADER, CSV_COLUMNS]
     lines += [",".join(fmt(v) if isinstance(v, float) else str(v) for v in row.values())
               for row in rows]
-    _emit("".join(line + "\n" for line in lines), args.output)
-    return 0
+    return 0, _lines(lines)
 
 
 def acceptance_checks():
@@ -309,19 +286,18 @@ def acceptance_checks():
     ]
 
 
-def _cmd_selftest(_args) -> int:
+def _cmd_selftest(_args) -> tuple[int, str]:
     checks = acceptance_checks()
-    passed = 0
+    lines = []
     for number, label, check in checks:
         try:
             ok, detail = check()
         except TubeforgeError as exc:
             ok, detail = False, f"error: {exc}"
-        if ok:
-            passed += 1
-        print(f"{'PASS' if ok else 'FAIL'} {number:2d} {label}: {detail}")
-    print(f"selftest: {passed}/{len(checks)} passed")
-    return 0 if passed == len(checks) else 1
+        lines.append(f"{'PASS' if ok else 'FAIL'} {number:2d} {label}: {detail}")
+    passed = sum(line.startswith("PASS") for line in lines)
+    lines.append(f"selftest: {passed}/{len(checks)} passed")
+    return 0 if passed == len(checks) else 1, _lines(lines)
 
 
 @functools.cache
@@ -394,11 +370,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    output = getattr(args, "output", None)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        if output:
+            try:
+                with open(output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {output}: {exc.strerror}") from exc
+        else:
+            sys.stdout.write(text)
     except TubeforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    return code
 
 
 if __name__ == "__main__":

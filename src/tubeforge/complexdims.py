@@ -32,6 +32,7 @@ from .errors import (
     BoundaryProximityError,
     ConvergenceError,
     DomainError,
+    ResourceLimitError,
     SprayValidationError,
 )
 from .model import RatioList, SprayModel
@@ -51,6 +52,9 @@ _REAL_IM_TOL = 1e-9
 # that still cannot exclude a zero is taken to touch one.
 _ROUNDING = 4.0 * np.finfo(float).eps
 _MIN_PIECE = 1e-13
+# Cap on the zeros a window |Im| <= T is expected to hold, T ln(1/r_min)/pi:
+# far above the few thousand conjugate pairs a residue expansion asks for.
+MAX_ZEROS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,6 +225,19 @@ def _cluster_roots(roots):
     return clusters
 
 
+def _check_window(ratios: RatioList, im_window: float) -> None:
+    """Raise unless 0 < T < inf and the window holds at most ``MAX_ZEROS``
+    zeros by the zero counting function T ln(1/r_min)/pi."""
+    if not (0.0 < im_window < math.inf):
+        raise DomainError(f"imaginary window must be finite and > 0, got {im_window!r}")
+    expected = im_window * -math.log(ratios.ratios[-1]) / math.pi
+    if expected > MAX_ZEROS:
+        raise ResourceLimitError(
+            f"window |Im| <= {im_window!r} holds about {expected:.3g} zeros, "
+            f"more than {MAX_ZEROS}"
+        )
+
+
 def lattice_zeros(structure: LatticeStructure, ratios: RatioList, im_window: float):
     """All zeros with |Im s| <= T in the lattice case, from the polynomial in z.
 
@@ -232,8 +249,7 @@ def lattice_zeros(structure: LatticeStructure, ratios: RatioList, im_window: flo
     """
     if not structure.is_lattice:
         raise DomainError("lattice_zeros requires a lattice ratio list")
-    if not (im_window > 0.0):
-        raise DomainError("imaginary window must be positive")
+    _check_window(ratios, im_window)
 
     deg = max(structure.exponents)
     coeffs = np.zeros(deg + 1)
@@ -455,14 +471,15 @@ def _count_generation(ratios: RatioList, rects, cache):
 
     The uncached edges of every rectangle are certified in one ``_bisect``
     call, a cut shared by two halves once; each count then reads the cache.
-    If certification raises BoundaryProximityError, each rectangle is
-    counted on its own and pushed outward when a zero sits on its boundary.
+    If certification raises BoundaryProximityError, the counts certify what
+    the batch left out, rectangle by rectangle, and push a rectangle outward
+    when a zero sits on its boundary (see ``_count_with_retries``).
     """
     try:
         _certify(ratios, [edge for rect in rects for edge in _edges(rect)], cache)
     except BoundaryProximityError:
-        return [_count_with_retries(ratios, rect, cache) for rect in rects]
-    return [(count_zeros_rectangle(ratios, rect, cache), rect) for rect in rects]
+        pass
+    return [_count_with_retries(ratios, rect, cache) for rect in rects]
 
 
 def _argument_principle_zeros(ratios: RatioList, sigma: float, right: float,
@@ -548,9 +565,10 @@ def find_complex_dimensions(model: SprayModel, im_window: float, re_floor=None):
     and no zero may approach the integer poles 0..n-1 of the tube-formula
     numerator.
     """
-    if not (im_window > 0.0):
-        raise DomainError("imaginary window must be positive")
     ratios = model.ratios
+    _check_window(ratios, im_window)
+    if re_floor is not None and not math.isfinite(re_floor):
+        raise DomainError(f"re_floor must be finite, got {re_floor!r}")
     dim = similarity_dimension(ratios)
     structure = detect_lattice(ratios)
 

@@ -45,6 +45,11 @@ _POLE_PROXIMITY = 1e-12
 _SIMPLE_ZERO_MIN_DERIV = 1e-8
 _CONTOUR_TOL = 1e-10
 _CONTOUR_MAX_REFINE = 20
+# Bromwich trapezoid: 4096 intervals, doubled until two estimates agree to
+# atol + rtol*|estimate|.
+_INVMELLIN_ATOL = 1e-9
+_INVMELLIN_RTOL = 1e-8
+_INVMELLIN_DOUBLINGS = 12
 
 KIND_SIMPLE_ZERO = "simple-zero"
 KIND_CONTOUR_FALLBACK = "contour-fallback"
@@ -333,8 +338,9 @@ def inverse_mellin_numeric(model: SprayModel, eps: float, c=None,
     """Truncated inverse Mellin transform along Re s = c.
 
     Independent of the residue machinery: a plain Bromwich-type trapezoid
-    over [c - iT, c + iT].  Valid for every eps > 0; the abscissa must lie
-    strictly inside the strip (D, n).  Default c is the strip midpoint.
+    over [c - iT, c + iT], T finite.  Valid for every eps > 0; the abscissa
+    must lie strictly inside the strip (D, n).  Default c is the strip
+    midpoint.  Raises ConvergenceError when the doubled trapezoids never agree.
     """
     if not (eps > 0.0):
         raise DomainError(f"inversion needs eps > 0, got {eps!r}")
@@ -346,8 +352,8 @@ def inverse_mellin_numeric(model: SprayModel, eps: float, c=None,
         raise StripError(
             f"inversion abscissa c = {c!r} outside the strip ({dim!r}, {n})"
         )
-    if not (half_length > 0.0):
-        raise DomainError("half_length must be positive")
+    if not (0.0 < half_length < math.inf):
+        raise DomainError(f"half_length must be positive and finite, got {half_length!r}")
 
     log_eps = math.log(eps)
 
@@ -365,14 +371,15 @@ def inverse_mellin_numeric(model: SprayModel, eps: float, c=None,
 
     num = 4096
     prev = bromwich(num)
-    for _ in range(12):
+    for _ in range(_INVMELLIN_DOUBLINGS):
         num *= 2
         cur = bromwich(num)
-        if abs(cur - prev) <= 1e-9 + 1e-8 * abs(cur):
-            prev = cur
-            break
+        if abs(cur - prev) <= _INVMELLIN_ATOL + _INVMELLIN_RTOL * abs(cur):
+            return eps**n * cur
         prev = cur
-    return eps**n * prev
+    raise ConvergenceError(
+        f"inverse Mellin trapezoid at eps = {eps!r} did not converge in {num} intervals"
+    )
 
 
 def compare(model: SprayModel, eps_grid, pairs: int, im_window: float):

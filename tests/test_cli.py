@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from tubeforge import cli
+from tubeforge import cli, tubeformula
 from tubeforge.cli import main
 from tubeforge.errors import ConvergenceError
 from tubeforge.model import spray_from_dict
@@ -120,6 +120,13 @@ class TestDim:
             math.log(2) / math.log(3), abs=1e-12
         )
         assert lines[1].startswith("residual ")
+
+    def test_output_file(self, capsys, cantor_config, tmp_path):
+        _, printed, _ = run(capsys, "dim", cantor_config)
+        dest = tmp_path / "dim.txt"
+        code, out, err = run(capsys, "dim", cantor_config, "-o", str(dest))
+        assert (code, out, err) == (0, "", "")
+        assert dest.read_text() == printed
 
 
 class TestCzeros:
@@ -257,6 +264,47 @@ class TestScan:
         code, _, err = run(capsys, "scan", cantor_config, "--grid", "0:1:5")
         assert code == 2
         assert "error:" in err
+
+
+CONFIGS = {"cantor": CANTOR_CONFIG, "half_third": HALF_THIRD_CONFIG}
+
+
+class TestFailuresExitWithTheirCode:
+    """Each failing invocation exits 2, 3 or 4 with one ``error:`` line on
+    stderr and nothing on stdout; none raises out of ``main``."""
+
+    @pytest.mark.parametrize("spray, argv, code, fragment", [
+        ("cantor", "czeros {cfg} --T inf", 2, "imaginary window"),
+        ("half_third", "czeros {cfg} --T inf", 2, "imaginary window"),
+        ("half_third", "tube {cfg} --eps 0.1 --method residues --T inf", 2,
+         "imaginary window"),
+        ("cantor", "czeros {cfg} --T 12 --re-floor nan", 2, "re_floor"),
+        ("half_third", "czeros {cfg} --T 20 --re-floor nan", 2, "re_floor"),
+        ("cantor", "czeros {cfg} --T 1e7", 4, "zeros"),
+        ("half_third", "czeros {cfg} --T 1e300", 4, "zeros"),
+        ("cantor", "tube {cfg} --eps 0.1 --method invmellin --T inf", 2, "half_length"),
+        ("cantor", "scan {cfg} --grid 0.1:inf:3", 2, "grid"),
+        ("cantor", "scan {cfg} --grid 0.01:0.1:3 --T inf", 2, "imaginary window"),
+        ("cantor", "tube {cfg} --eps 0.1 --method residues --pairs 1000000000", 4, "zeros"),
+        ("cantor", "tube {cfg} --eps 0.1 --method direct -o {tmp}/missing/out.txt", 2,
+         "cannot write"),
+        ("cantor", "czeros {cfg} --T 12 -o {tmp}", 2, "cannot write"),
+    ])
+    def test_exit_code(self, capsys, tmp_path, spray, argv, code, fragment):
+        cfg = write_config(tmp_path, spray, CONFIGS[spray])
+        got, out, err = run(capsys, *argv.format(cfg=cfg, tmp=tmp_path).split())
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err and "Traceback" not in err
+
+    def test_invmellin_without_agreement_exits_3(self, capsys, monkeypatch, cantor_config):
+        monkeypatch.setattr(tubeformula, "_INVMELLIN_ATOL", 0.0)
+        monkeypatch.setattr(tubeformula, "_INVMELLIN_RTOL", 0.0)
+        monkeypatch.setattr(tubeformula, "_INVMELLIN_DOUBLINGS", 1)
+        code, out, err = run(capsys, "tube", cantor_config, "--eps", "0.1",
+                             "--method", "invmellin")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: inverse Mellin trapezoid")
 
 
 class TestDeterminism:

@@ -13,6 +13,7 @@ from tubeforge import (
     DomainError,
     MonophaseGenerator,
     RatioList,
+    ResourceLimitError,
     SprayModel,
     count_zeros_rectangle,
     detect_lattice,
@@ -235,6 +236,19 @@ class TestCountZerosRectangle:
         assert counts == [count_zeros_rectangle(rl, rect) for rect in rects]
         assert counts[0] == counts[1] + counts[2] > 0
 
+    def test_a_zero_on_one_boundary_pushes_only_that_rectangle(self):
+        # The batch certification of the generation fails at the node D + 0i;
+        # each rectangle is then counted on its own.
+        rl = RatioList([1 / 3, 1 / 3])
+        clear, touching = (-1.0, 0.5, -1.0, 1.0), (-1.0, CANTOR_D, -1.0, 1.0)
+        with pytest.raises(BoundaryProximityError):
+            count_zeros_rectangle(rl, touching)
+        (n_clear, counted_clear), (n_touching, counted_touching) = (
+            complexdims._count_generation(rl, [clear, touching], {}))
+        assert (n_clear, counted_clear) == (0, clear)
+        assert n_touching == 1 and counted_touching[1] > CANTOR_D
+        assert counted_touching == complexdims._perturb(touching, 1)
+
 
 class TestRefineZero:
     def test_real_seed_converges_to_dimension(self):
@@ -319,6 +333,27 @@ class TestFindComplexDimensions:
     def test_rejects_nonpositive_window(self, cantor):
         with pytest.raises(DomainError):
             find_complex_dimensions(cantor, 0.0)
+
+    @pytest.mark.parametrize("window, re_floor", [
+        (math.inf, None), (math.nan, None), (20.0, math.nan), (20.0, -math.inf),
+    ])
+    def test_rejects_nonfinite_window_or_floor(self, cantor, half_third_model,
+                                               window, re_floor):
+        for model in (cantor, half_third_model):
+            with pytest.raises(DomainError):
+                find_complex_dimensions(model, window, re_floor=re_floor)
+        if re_floor is None:
+            with pytest.raises(DomainError):
+                lattice_zeros(detect_lattice(cantor.ratios), cantor.ratios, window)
+
+    def test_window_beyond_the_zero_cap_is_a_resource_error(self, cantor,
+                                                            half_third_model):
+        # The Cantor window |Im| <= T holds about T ln(3)/pi zeros.
+        cap = complexdims.MAX_ZEROS * math.pi / math.log(3.0)
+        for model in (cantor, half_third_model):
+            for window in (1.01 * cap, 1e300):
+                with pytest.raises(ResourceLimitError, match="zeros"):
+                    find_complex_dimensions(model, window)
 
 
 class TestArgumentPrincipleRoute:

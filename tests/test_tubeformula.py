@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from tubeforge import tubeformula
 from tubeforge import (
+    ConvergenceError,
     DomainError,
     MonophaseGenerator,
     PoleProximityError,
@@ -284,6 +285,18 @@ class TestInverseMellin:
             inverse_mellin_numeric(cantor, 0.1, c=CANTOR_D)
         with pytest.raises(StripError):
             inverse_mellin_numeric(cantor, 0.1, c=1.0)
+
+    @pytest.mark.parametrize("half_length", [math.inf, math.nan, 0.0])
+    def test_rejects_a_nonfinite_or_empty_range(self, cantor, half_length):
+        with pytest.raises(DomainError, match="half_length"):
+            inverse_mellin_numeric(cantor, 0.1, half_length=half_length)
+
+    def test_no_agreement_raises_instead_of_returning(self, cantor, monkeypatch):
+        monkeypatch.setattr(tubeformula, "_INVMELLIN_ATOL", 0.0)
+        monkeypatch.setattr(tubeformula, "_INVMELLIN_RTOL", 0.0)
+        monkeypatch.setattr(tubeformula, "_INVMELLIN_DOUBLINGS", 2)
+        with pytest.raises(ConvergenceError, match="16384 intervals"):
+            inverse_mellin_numeric(cantor, 0.1)
 
 
 class TestCompare:

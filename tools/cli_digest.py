@@ -7,7 +7,9 @@ Runs every job of each (workload, seed) batch of ``perfbench/workloads.py``
 in-process through ``tubeforge.cli.main``, from a scratch directory holding
 the batch's configs, with every warning shown, and writes {job: [exit code,
 sha256 of stdout, sha256 of stderr]}, plus the same record of
-``tubeforge selftest`` under the key ``selftest``: two commits print the
+``tubeforge selftest`` under the key ``selftest`` and of each fixed
+invocation in ``PRESET_RUNS`` under ``preset <argv>``; a run with ``-o FILE``
+adds the sha256 of FILE, or null if it wrote none.  Two commits print the
 same output exactly when their files are equal.  With ``--against``, the
 keys whose records differ between OLD.json and OUT.json (or are in only one
 of them) are printed and the exit status is 1 if there are any.
@@ -27,15 +29,64 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from tubeforge import presets  # noqa: E402
 from tubeforge.cli import main  # noqa: E402
 from workloads import WORKLOADS, generate  # noqa: E402
+
+# Every command on the preset sprays, run from a directory holding cantor.json,
+# square.json and broken.json (the Cantor string with a generator volume that
+# breaks continuity at the inradius, so validation fails).
+PRESET_RUNS = (
+    ["dim", "square.json"],
+    ["validate", "cantor.json"],
+    ["validate", "broken.json"],
+    ["tube", "square.json", "--eps", "0.1", "--method", "residues", "--pairs", "20"],
+    ["scan", "cantor.json", "--grid", "0.01:0.3:5:log", "--pairs", "20", "--format", "json"],
+    ["czeros", "square.json", "--T", "20", "-o", "zeros.json"],
+    ["tube", "cantor.json", "--eps", "0.1", "--method", "both", "-o", "tube.txt"],
+    ["dim", "cantor.json", "-o", "dim.txt"],
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def run(argv) -> list:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return [code] + [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
+    record = [code, sha256(out.getvalue().encode()), sha256(err.getvalue().encode())]
+    if "-o" in argv:
+        written = Path(argv[argv.index("-o") + 1])
+        record.append(sha256(written.read_bytes()) if written.exists() else None)
+        written.unlink(missing_ok=True)
+    return record
+
+
+def preset_config(model) -> dict:
+    gen = model.generator
+    return {"dimension": gen.dimension, "ratios": list(model.ratios.ratios),
+            "generator": {"kappa": list(gen.kappa), "inradius": gen.inradius,
+                          "volume": gen.volume}}
+
+
+def preset_digest() -> dict:
+    configs = {"cantor": preset_config(presets.cantor_spray()),
+               "square": preset_config(presets.square_spray())}
+    configs["broken"] = dict(configs["cantor"],
+                             generator=dict(configs["cantor"]["generator"], volume=0.5))
+    result, home = {}, os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        for name, config in configs.items():
+            Path(work, f"{name}.json").write_text(json.dumps(config))
+        os.chdir(work)
+        try:
+            for argv in PRESET_RUNS:
+                result[f"preset {' '.join(argv)}"] = run(argv)
+        finally:
+            os.chdir(home)
+    return result
 
 
 def digest(names, seeds) -> dict:
@@ -54,7 +105,7 @@ def digest(names, seeds) -> dict:
                 finally:
                     os.chdir(home)
     result["selftest"] = run(["selftest"])
-    return result
+    return result | preset_digest()
 
 
 def differing(old: dict, new: dict) -> list:
