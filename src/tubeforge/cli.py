@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -28,7 +29,6 @@ from .model import (
     total_spray_volume,
     validate_spray,
 )
-from .moran import similarity_dimension
 from .tubeformula import (
     compare,
     inverse_mellin_numeric,
@@ -135,7 +135,7 @@ def _cmd_validate(args) -> tuple[int, str]:
 
 
 def _cmd_dim(args) -> tuple[int, str]:
-    dim = similarity_dimension(_load_validated(args).ratios)
+    dim = _load_validated(args).ratios.similarity_dimension
     return 0, _named(("D", dim.value), ("residual", dim.residual))
 
 
@@ -192,7 +192,7 @@ def acceptance_checks():
         for ratios, ref in ((cantor.ratios, cantor_d),
                             (RatioList([0.5, 0.25]),
                              math.log2((1.0 + math.sqrt(5.0)) / 2.0))):
-            worst = max(worst, abs(similarity_dimension(ratios).value - ref))
+            worst = max(worst, abs(ratios.similarity_dimension.value - ref))
         return worst < 1e-10, f"max error {worst:.3e}"
 
     def lattice_zeros_exact():
@@ -211,7 +211,7 @@ def acceptance_checks():
             SprayModel(ratios, MonophaseGenerator(1, [2.0], 0.5, 1.0)), 20.0
         )
         window = (zero_free_abscissa(ratios),
-                  similarity_dimension(ratios).value + 0.5, -20.0, 20.0)
+                  ratios.similarity_dimension.value + 0.5, -20.0, 20.0)
         total = count_zeros_rectangle(ratios, window)
         mult = int(zeros.multiplicity.sum())
         worst = max(zeros.residual.tolist())
@@ -300,6 +300,15 @@ def _cmd_selftest(_args) -> tuple[int, str]:
     return 0 if passed == len(checks) else 1, _lines(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number in exponent form,
+    such as ``-1e-3``, as a value rather than as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every ``main`` call.
@@ -307,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     ``parse_args`` leaves the parser unchanged, so in-process callers that
     run many commands pay for it once; nothing is built at import.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tubeforge",
         description="Inner tube volumes of self-similar sprays: exact direct "
         "evaluation and the residue-sum tube formula over complex dimensions.",

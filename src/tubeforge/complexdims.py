@@ -1,11 +1,12 @@
 """Zeros of the Dirichlet polynomial 1 - sum(r_j^s) in a vertical window.
 
 Lattice ratio lists (all ratios integer powers of one base r) reduce to an
-ordinary polynomial in z = r^s, solved by a companion matrix; the zeros
-then come in exact vertical arithmetic progressions with period
-2*pi/ln(1/r).  Nonlattice lists are handled by the argument principle:
-winding-number counts over rectangles, halved one generation at a time
-until each rectangle isolates one zero, then Newton refinement.  A winding
+ordinary polynomial in z = r^s, solved once per list by a companion
+matrix; the zeros then come in exact vertical arithmetic progressions with
+period 2*pi/ln(1/r), one array of lifts per distinct root.  Nonlattice
+lists are handled by the argument principle: winding-number counts over
+rectangles, halved one generation at a time until each rectangle isolates
+one zero, then Newton refinement.  A winding
 number is the sum of arg changes of f along pieces of the boundary; a
 bound on |f'| certifies that f cannot wind around 0 within a piece, so
 each count is an exact integer (Ying & Katz, Numer. Math. 53, 1988).  The
@@ -14,9 +15,11 @@ is cached in both orientations, so an edge two rectangles share is
 certified once.  Conjugate symmetry leaves a thin band around the real
 axis and the upper half to search; the first generation's counts of these
 two also give the window's total.  Both routes compute only the real axis
-and the upper half, and return a ``ZeroSet`` that mirrors them: the zeros,
-their multiplicities and residuals as read-only arrays, sorted by (Im, Re)
-and exactly conjugate-symmetric.
+and the upper half, and pass them as arrays to ``ZeroSet.build``, which
+sorts them by (Im, Re) with one lexsort, drops near-duplicates by the
+distance to their neighbour and mirrors them: the zeros, their
+multiplicities and residuals as read-only arrays, sorted by (Im, Re) and
+exactly conjugate-symmetric.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .errors import (
     SprayValidationError,
 )
 from .model import RatioList, SprayModel
-from .moran import similarity_dimension
 
 RESIDUAL_TOL = 1e-10
 NEWTON_TOL = 1e-12
@@ -75,22 +77,32 @@ class ZeroSet:
     upper: slice
 
     @classmethod
-    def build(cls, ratios: RatioList, raw) -> "ZeroSet":
-        """From (zero, multiplicity) pairs of the real axis and the upper
-        half: zeros within 1e-9 of the real axis are put on it, zeros below
-        it are ignored, a zero within 1e-8 of the last one kept in (Im, Re)
-        order is dropped, and the lower half is the conjugate of the upper
-        half, with its multiplicities and residuals."""
-        on_axis = ((complex(s.real, 0.0) if abs(s.imag) <= _REAL_IM_TOL else s, m)
-                   for s, m in raw)
-        half = []
-        for s, mult in sorted(on_axis, key=lambda e: (e[0].imag, e[0].real)):
-            if s.imag < 0.0 or half and abs(half[-1][0] - s) <= _DEDUP_DISTANCE:
-                continue
-            half.append((s, mult))
-        omega = np.array([s for s, _ in half], dtype=np.complex128)
-        mult = np.array([m for _, m in half], dtype=np.int64)
-        residual = np.array([abs(v) for v in dirichlet_poly(ratios, omega).tolist()])
+    def build(cls, ratios: RatioList, omega, multiplicity) -> "ZeroSet":
+        """From arrays of zeros of the real axis and the upper half and
+        their multiplicities, in any order: zeros within 1e-9 of the real
+        axis are put on it, zeros below it are ignored, a zero within 1e-8
+        of the last one kept in (Im, Re) order is dropped, and the lower
+        half is the conjugate of the upper half, with its multiplicities
+        and residuals."""
+        omega = np.asarray(omega, dtype=np.complex128)
+        omega = np.where(np.abs(omega.imag) <= _REAL_IM_TOL,
+                         omega.real.astype(np.complex128), omega)
+        half = np.flatnonzero(omega.imag >= 0.0)
+        half = half[np.lexsort((omega.real[half], omega.imag[half]))]
+        omega = omega[half]
+        step = np.diff(omega)
+        if np.any(np.hypot(step.real, step.imag) <= _DEDUP_DISTANCE):
+            # Rare: once a zero is dropped, the next one is compared with the
+            # last zero kept, not with its neighbour.
+            values = omega.tolist()
+            kept = [0]
+            for i in range(1, len(values)):
+                if abs(values[kept[-1]] - values[i]) > _DEDUP_DISTANCE:
+                    kept.append(i)
+            half, omega = half[kept], omega[kept]
+        mult = np.asarray(multiplicity, dtype=np.int64)[half]
+        f = dirichlet_poly(ratios, omega)
+        residual = np.hypot(f.real, f.imag)  # bit for bit abs() of each value
         upper = np.flatnonzero(omega.imag > 0.0)
         lower = upper[np.lexsort((omega.real[upper], -omega.imag[upper]))]
         return cls._of(np.concatenate((omega[lower].conj(), omega)),
@@ -117,13 +129,15 @@ class LatticeStructure:
 
     ``exponents`` aligns with the canonical ratio tuple: r_j = base**k_j,
     gcd of the k_j is 1.  ``period`` is the vertical period 2*pi/ln(1/base)
-    of the zero set.
+    of the zero set.  ``roots`` holds the distinct roots of the polynomial
+    1 - sum(z^k_j) with their multiplicities, ((z, m), ...).
     """
 
     is_lattice: bool
     base: float = 0.0
     exponents: tuple = ()
     period: float = 0.0
+    roots: tuple = ()
 
 
 def dirichlet_poly(ratios: RatioList, s):
@@ -155,7 +169,8 @@ def detect_lattice(ratios: RatioList) -> LatticeStructure:
     if len(distinct) == 1:
         base = distinct[0][0]
         exponents = tuple(1 for _ in ratios.ratios)
-        return LatticeStructure(True, base, exponents, 2.0 * math.pi / -math.log(base))
+        return LatticeStructure(True, base, exponents, 2.0 * math.pi / -math.log(base),
+                                _polynomial_roots(exponents))
 
     fracs = []
     for lg in logs:
@@ -186,7 +201,19 @@ def detect_lattice(ratios: RatioList) -> LatticeStructure:
 
     by_ratio = {r: k for (r, _), k in zip(distinct, ks)}
     exponents = tuple(by_ratio[r] for r in ratios.ratios)
-    return LatticeStructure(True, base, exponents, 2.0 * math.pi / -u)
+    return LatticeStructure(True, base, exponents, 2.0 * math.pi / -u,
+                            _polynomial_roots(exponents))
+
+
+def _polynomial_roots(exponents):
+    """Distinct roots of 1 - sum(z^k_j) with multiplicities, by a companion
+    matrix."""
+    deg = max(exponents)
+    coeffs = np.zeros(deg + 1)
+    coeffs[-1] = 1.0  # constant term
+    for k in exponents:
+        coeffs[deg - k] -= 1.0
+    return tuple(_cluster_roots(list(map(complex, np.roots(coeffs)))))
 
 
 def refine_zero(ratios: RatioList, seed: complex) -> complex:
@@ -238,50 +265,61 @@ def _check_window(ratios: RatioList, im_window: float) -> None:
         )
 
 
+def _check_floor(ratios: RatioList, sigma: float, im_window: float) -> None:
+    """Raise unless the rounding bound of f (see ``_evaluate``) is finite at
+    the far corner sigma + i*T of the search, pushed outward by every retry
+    (see ``_perturb``): far left, r_min^sigma overflows."""
+    re_lo, _, _, im_hi = _perturb((sigma, sigma, -im_window, im_window), _PERTURB_RETRIES)
+    reach = abs(complex(re_lo, im_hi))
+    try:
+        weight = 1.0 + sum(m * r**re_lo * (1.0 - reach * math.log(r))
+                           for r, m in ratios.distinct)
+    except OverflowError:
+        weight = math.inf
+    if not weight < math.inf:
+        raise DomainError(
+            f"re_floor {sigma!r} is too far left: r_min^re_floor (r_min = "
+            f"{ratios.ratios[-1]!r}) overflows the rounding bound of the zero search"
+        )
+
+
 def lattice_zeros(structure: LatticeStructure, ratios: RatioList, im_window: float):
     """All zeros with |Im s| <= T in the lattice case, from the polynomial in z.
 
     Substituting z = base**s turns 1 - sum(r_j^s) into 1 - sum(z^k_j); its
     roots, lifted through the principal logarithm, generate the vertical
-    zero families s = ln(z)/ln(base) + i*k*period.  Only the lifts on the
-    real axis and above it are screened and polished; ``ZeroSet.build``
-    mirrors them.
+    zero families s = ln(z)/ln(base) + i*k*period.  The lifts on the real
+    axis and above it are built as one array, root by root, screened by one
+    evaluation of f and polished where needed; ``ZeroSet.build`` mirrors
+    them.
     """
     if not structure.is_lattice:
         raise DomainError("lattice_zeros requires a lattice ratio list")
     _check_window(ratios, im_window)
-
-    deg = max(structure.exponents)
-    coeffs = np.zeros(deg + 1)
-    coeffs[-1] = 1.0  # constant term
-    for k in structure.exponents:
-        coeffs[deg - k] -= 1.0
-    roots = np.roots(coeffs)
 
     log_base = math.log(structure.base)
     period = structure.period
     tol_t = im_window * (1.0 + 1e-12) + 1e-12
 
     lifts = []
-    for z, mult in _cluster_roots(list(map(complex, roots))):
+    for z, m in structure.roots:
         s0 = cmath.log(z) / log_base  # z != 0: the constant term is 1
-        k_lo = math.ceil((-_REAL_IM_TOL - s0.imag) / period)
-        k_hi = math.floor((tol_t - s0.imag) / period)
-        lifts += [(complex(s0.real, s0.imag + k * period), mult)
-                  for k in range(k_lo, k_hi + 1)]
+        k = np.arange(math.ceil((-_REAL_IM_TOL - s0.imag) / period),
+                      math.floor((tol_t - s0.imag) / period) + 1)
+        lifts.append((np.full(k.size, s0.real), s0.imag + k * period, np.full(k.size, m)))
+    re, im, mult = (np.concatenate(parts) for parts in zip(*lifts))
+    omega = np.empty(re.size, dtype=np.complex128)
+    omega.real, omega.imag = re, im
 
     # refine_zero's own first test, over all lifts at once: only simple lifts
     # with |f| >= NEWTON_TOL take a step.
-    f = dirichlet_poly(ratios, np.array([s for s, _ in lifts], dtype=np.complex128))
-    raw = []
-    for (s, mult), fs in zip(lifts, f.tolist()):
-        if mult == 1 and abs(fs) >= NEWTON_TOL:
-            try:
-                s = refine_zero(ratios, s)
-            except ConvergenceError:
-                pass  # keep the closed-form lift
-        raw.append((s, mult))
-    return ZeroSet.build(ratios, raw)
+    f = dirichlet_poly(ratios, omega)
+    for i in np.flatnonzero((mult == 1) & (np.hypot(f.real, f.imag) >= NEWTON_TOL)).tolist():
+        try:
+            omega[i] = refine_zero(ratios, complex(omega[i]))
+        except ConvergenceError:
+            pass  # keep the closed-form lift
+    return ZeroSet.build(ratios, omega, mult)
 
 
 def _moduli(logs, mults, sigma):
@@ -544,7 +582,7 @@ def _argument_principle_zeros(ratios: RatioList, sigma: float, right: float,
                 mid = 0.5 * (re_lo + re_hi)
                 halves += [(re_lo, mid, im_lo, im_hi), (mid, re_hi, im_lo, im_hi)]
         generation = _count_generation(ratios, halves, cache) if halves else []
-    zeros = ZeroSet.build(ratios, raw)
+    zeros = ZeroSet.build(ratios, [s for s, _ in raw], [m for _, m in raw])
 
     total_mult = int(zeros.multiplicity.sum())
     if total_mult != total:
@@ -569,8 +607,8 @@ def find_complex_dimensions(model: SprayModel, im_window: float, re_floor=None):
     _check_window(ratios, im_window)
     if re_floor is not None and not math.isfinite(re_floor):
         raise DomainError(f"re_floor must be finite, got {re_floor!r}")
-    dim = similarity_dimension(ratios)
-    structure = detect_lattice(ratios)
+    dim = ratios.similarity_dimension
+    structure = ratios.lattice
 
     if structure.is_lattice:
         zeros = lattice_zeros(structure, ratios, im_window)
@@ -583,6 +621,7 @@ def find_complex_dimensions(model: SprayModel, im_window: float, re_floor=None):
         right = dim.value + 0.5
         if sigma >= right:
             raise DomainError(f"re_floor {sigma!r} is right of D + 1/2")
+        _check_floor(ratios, sigma, im_window)
         zeros = _argument_principle_zeros(ratios, sigma, right, im_window)
 
     _check_zero_set(model, zeros, dim.value)

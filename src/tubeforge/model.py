@@ -64,6 +64,22 @@ class RatioList:
         """Sum of r_j^x over all ratios with multiplicity."""
         return compensated_total(m * r**x for r, m in self.distinct)
 
+    # Kept on the list, so validation, the window default and the zero
+    # search share one solve.  Deferred imports: both modules build on this.
+    @functools.cached_property
+    def similarity_dimension(self):
+        """The ``SimilarityDimension`` of the list, solved on first use."""
+        from .moran import similarity_dimension
+
+        return similarity_dimension(self)
+
+    @functools.cached_property
+    def lattice(self):
+        """The ``LatticeStructure`` of the list, detected on first use."""
+        from .complexdims import detect_lattice
+
+        return detect_lattice(self)
+
 
 @dataclass(frozen=True)
 class MonophaseGenerator:
@@ -203,11 +219,8 @@ def validate_spray(model: SprayModel, check_monotonic: bool = True) -> Validatio
                 f"sample eps = {bad[0]!r}"
             )
 
-    # Similarity dimension window n-1 < D < n.  Imported here to keep the
-    # module dependency one-way (moran builds on model).
-    from .moran import similarity_dimension
-
-    dim = similarity_dimension(model.ratios)
+    # Similarity dimension window n-1 < D < n.
+    dim = model.ratios.similarity_dimension
     if not (n - 1 < dim.value < n):
         failures.append(
             f"similarity dimension D = {dim.value!r} outside ({n - 1}, {n})"

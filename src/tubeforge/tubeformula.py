@@ -37,7 +37,6 @@ from .errors import (
     WindowError,
 )
 from .model import MonophaseGenerator, SprayModel
-from .moran import similarity_dimension
 from .parallel import map_ordered
 from .summation import compensated_cumsum
 
@@ -210,10 +209,17 @@ def contour_residue(model: SprayModel, center: complex, radius: float,
 def window_for_pairs(ratios, pairs: int) -> float:
     """Imaginary window expected to cover the given number of conjugate pairs.
 
-    The zero counting function grows like T * ln(1/r_min) / (2*pi).
+    The zero counting function grows like T * ln(1/r_min) / (2*pi), zeros
+    counted with multiplicity.  A lattice polynomial of degree K with K'
+    distinct roots has K/K' times fewer distinct zeros than that, so its
+    window is K/K' times taller.
     """
     r_min = ratios.ratios[-1]
-    return 2.0 * math.pi * (pairs + 2) / -math.log(r_min)
+    window = 2.0 * math.pi * (pairs + 2) / -math.log(r_min)
+    lattice = ratios.lattice
+    if lattice.is_lattice:
+        window *= max(lattice.exponents) / len(lattice.roots)
+    return window
 
 
 def _check_residue_eps(gen: MonophaseGenerator, eps: float) -> None:
@@ -345,7 +351,7 @@ def inverse_mellin_numeric(model: SprayModel, eps: float, c=None,
     if not (eps > 0.0):
         raise DomainError(f"inversion needs eps > 0, got {eps!r}")
     n = model.generator.dimension
-    dim = similarity_dimension(model.ratios).value
+    dim = model.ratios.similarity_dimension.value
     if c is None:
         c = 0.5 * (dim + n)
     if not (dim < c < n):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -36,6 +37,14 @@ HALF_THIRD_CONFIG = {
     "dimension": 1,
     "ratios": [0.5, 1 / 3],
     "generator": {"kappa": [2.0], "inradius": 0.5, "volume": 1.0},
+}
+# Lattice 0.16 = 0.4^2, 0.064 = 0.4^3: 1 - 3z^2 - 2z^3 = -(z + 1)^2 (2z - 1), so
+# the zeros above z = -1 are double and the list has 2/3 as many distinct
+# zeros as zeros counted with multiplicity.
+REPEATED_ROOT_CONFIG = {
+    "dimension": 1,
+    "ratios": [0.16, 0.16, 0.16, 0.064, 0.064],
+    "generator": {"kappa": [2.0], "inradius": 0.25, "volume": 0.5},
 }
 
 
@@ -164,6 +173,30 @@ class TestCzeros:
         assert code == 2
         assert "right of D + 1/2" in err
 
+    def test_negative_re_floor_in_exponent_form(self, capsys, tmp_path):
+        path = write_config(tmp_path, "spray", HALF_THIRD_CONFIG)
+        code, out, err = run(capsys, "czeros", path, "--T", "20", "--re-floor", "-1e-3")
+        assert (code, err) == (0, "")
+        assert run(capsys, "czeros", path, "--T", "20", "--re-floor=-0.001")[1] == out
+        assert len(json.loads(out)) == 5
+
+    @pytest.mark.parametrize("re_floor, code, count", [
+        ("-640", 0, 7),
+        ("-650", 2, None),
+        ("-800", 2, None),
+    ])
+    def test_far_left_re_floor(self, capsys, tmp_path, re_floor, code, count):
+        path = write_config(tmp_path, "spray", HALF_THIRD_CONFIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = run(capsys, "czeros", path, "--T", "20", "--re-floor", re_floor)
+        assert got == code
+        if count is None:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert "r_min^re_floor" in err and "overflows" in err
+        else:
+            assert err == "" and len(json.loads(out)) == count
+
     def test_output_file(self, capsys, cantor_config, tmp_path):
         dest = tmp_path / "zeros.json"
         code, out, _ = run(capsys, "czeros", cantor_config, "--T", "12",
@@ -264,6 +297,23 @@ class TestScan:
         code, _, err = run(capsys, "scan", cantor_config, "--grid", "0:1:5")
         assert code == 2
         assert "error:" in err
+
+
+class TestRepeatedRootDefaultWindow:
+    """The default window holds ``--pairs`` distinct conjugate pairs when
+    half of the zeros are double."""
+
+    @pytest.mark.parametrize("pairs", [5, 10, 50, 200])
+    def test_tube_and_scan(self, capsys, tmp_path, pairs):
+        path = write_config(tmp_path, "repeated", REPEATED_ROOT_CONFIG)
+        code, out, err = run(capsys, "tube", path, "--eps", "0.05", "--method", "both",
+                             "--pairs", str(pairs))
+        assert (code, err) == (0, "")
+        assert float(out.splitlines()[-1].split()[1]) < 1e-2  # rel_err
+        code, out, err = run(capsys, "scan", path, "--grid", "0.01:0.2:3:log",
+                             "--pairs", str(pairs), "--format", "json")
+        assert (code, err) == (0, "")
+        assert [rec["pairs_used"] for rec in json.loads(out)] == [pairs] * 3
 
 
 CONFIGS = {"cantor": CANTOR_CONFIG, "half_third": HALF_THIRD_CONFIG}

@@ -37,6 +37,8 @@ from tubeforge.presets import cantor_spray, square_spray
 CANTOR_D = math.log(2) / math.log(3)
 CANTOR_PERIOD = 2 * math.pi / math.log(3)
 GOLDEN_RE = math.log((1 + math.sqrt(5)) / 2) / math.log(4)
+# 0.16 = 0.4^2, 0.064 = 0.4^3: 1 - 3z^2 - 2z^3 has the double root z = -1.
+REPEATED_ROOT = [0.16, 0.16, 0.16, 0.064, 0.064]
 
 
 class TestSingleEvaluator:
@@ -110,10 +112,10 @@ class TestZeroSet:
         else:
             right = similarity_dimension(rl).value + 0.5
             zeros = _argument_principle_zeros(rl, zero_free_abscissa(rl), right, window)
-        both = list(zip(zeros.omega.tolist(), zeros.multiplicity.tolist()))
-        half = [(w, m) for w, m in both if w.imag >= 0.0]
-        assert len(half) < len(both)
-        for built in (ZeroSet.build(rl, half), ZeroSet.build(rl, both)):
+        half = zeros.omega.imag >= 0.0
+        assert not half.all()
+        for built in (ZeroSet.build(rl, zeros.omega[half], zeros.multiplicity[half]),
+                      ZeroSet.build(rl, zeros.omega, zeros.multiplicity)):
             for got, want in ((built.omega, zeros.omega),
                               (built.multiplicity, zeros.multiplicity),
                               (built.residual, zeros.residual)):
@@ -123,8 +125,25 @@ class TestZeroSet:
 
     def test_zero_within_dedup_distance_of_a_real_zero(self):
         rl = RatioList([1 / 3, 1 / 3])
-        zeros = ZeroSet.build(rl, [(complex(CANTOR_D), 1), (complex(CANTOR_D, 5e-9), 1)])
+        zeros = ZeroSet.build(rl, [complex(CANTOR_D), complex(CANTOR_D, 5e-9)], [1, 1])
         assert zeros.omega.tolist() == [complex(CANTOR_D)]
+
+    def test_dedup_compares_with_the_last_zero_kept(self):
+        rl = RatioList([1 / 3, 1 / 3])
+        first = complex(CANTOR_D, CANTOR_PERIOD)
+        chain = [first, first + 0.6e-8j, first + 1.2e-8j]
+        zeros = ZeroSet.build(rl, [complex(CANTOR_D)] + chain, [1, 1, 1, 1])
+        assert zeros.omega[zeros.upper].tolist() == [chain[0], chain[2]]
+
+    def test_input_order_does_not_matter(self):
+        rl = RatioList([0.4, 0.16, 0.064])
+        zeros = lattice_zeros(detect_lattice(rl), rl, 30.0)
+        order = np.random.default_rng(20261019).permutation(len(zeros))
+        built = ZeroSet.build(rl, zeros.omega[order], zeros.multiplicity[order])
+        for got, want in ((built.omega, zeros.omega),
+                          (built.multiplicity, zeros.multiplicity),
+                          (built.residual, zeros.residual)):
+            assert got.tobytes() == want.tobytes()
 
     def test_re_floor_keeps_the_invariants(self):
         model = SprayModel(RatioList([0.25, 1 / 16]), MonophaseGenerator(1, [2.0], 0.25, 0.5))
@@ -190,6 +209,18 @@ class TestLatticeZeros:
             assert w == pytest.approx(
                 complex(-GOLDEN_RE, sign * period / 2), abs=1e-10
             )
+
+    def test_double_roots_carry_multiplicity_two(self):
+        rl = RatioList(REPEATED_ROOT)
+        zeros = lattice_zeros(detect_lattice(rl), rl, 60.0)
+        mult = zeros.multiplicity.tolist()
+        assert (mult.count(1), mult.count(2), len(mult)) == (17, 18, 35)
+        doubles = zeros.omega[zeros.multiplicity == 2]
+        assert np.allclose(doubles.real, 0.0, atol=1e-9)  # above z = -1: Re s = 0
+        omegas = zeros.omega.tolist()
+        assert zeros.residual.tolist() == [abs(dirichlet_poly(rl, w)) for w in omegas]
+        sigma = zero_free_abscissa(rl)
+        assert sum(mult) == count_zeros_rectangle(rl, (sigma, 1.3, -60.0, 60.0))
 
     def test_triple_half_small_window(self):
         rl = RatioList([0.5, 0.5, 0.5])

@@ -12,12 +12,16 @@ from tubeforge import (
     RatioList,
     SprayModel,
     direct_tube_volume,
+    find_complex_dimensions,
     generator_tube_volume,
+    inverse_mellin_numeric,
     load_spray,
     spray_from_dict,
     total_spray_volume,
     validate_spray,
+    window_for_pairs,
 )
+from tubeforge import complexdims, moran
 from tubeforge import model as model_module
 
 
@@ -43,6 +47,23 @@ class TestRatioList:
         assert r.count == 2
         assert r.distinct == ((1 / 3, 2),)
         assert r.distinct is r.distinct  # computed once per instance
+
+    @pytest.mark.parametrize("ratios", [[1 / 3, 1 / 3], [0.5, 1 / 3]])
+    def test_moran_and_lattice_test_run_once_per_list(self, monkeypatch, ratios):
+        calls = []
+        for module, name in ((moran, "similarity_dimension"),
+                             (complexdims, "detect_lattice")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda rl, f=original, n=name: calls.append(n) or f(rl))
+        model = SprayModel(RatioList(ratios), MonophaseGenerator(1, [2.0], 0.5, 1.0))
+        assert validate_spray(model).ok
+        window = window_for_pairs(model.ratios, 10)
+        find_complex_dimensions(model, window)
+        inverse_mellin_numeric(model, 0.1)
+        assert sorted(calls) == ["detect_lattice", "similarity_dimension"]
+        fresh = moran.similarity_dimension(RatioList(ratios))
+        assert model.ratios.similarity_dimension == fresh
 
     @pytest.mark.parametrize("bad", [[], [0.0], [1.0], [-0.2], [0.5, 1.5], [float("nan")]])
     def test_rejects_bad_ratios(self, bad):

@@ -222,6 +222,21 @@ class TestTubeVolumeResidues:
             assert ev.imag_leakage < 1e-10 * abs(ev.residue_value)
 
 
+class TestWindowForPairs:
+    def test_repeated_roots_widen_the_window(self):
+        # 1 - 3z^2 - 2z^3 has degree 3 and two distinct roots.
+        rl = RatioList([0.16, 0.16, 0.16, 0.064, 0.064])
+        plain = 2.0 * math.pi * 12 / -math.log(0.064)
+        assert window_for_pairs(rl, 10) == plain * 1.5
+
+    @pytest.mark.parametrize("ratios", [
+        [1 / 3, 1 / 3], [0.5, 1 / 3, 0.25], [0.5, 0.25], [0.4297, 0.4297**2, 0.4297**3],
+    ])
+    def test_simple_roots_keep_the_window(self, ratios):
+        rl = RatioList(ratios)
+        assert window_for_pairs(rl, 100) == 2.0 * math.pi * 102 / -math.log(min(ratios))
+
+
 class TestResidueExpansion:
     @pytest.mark.parametrize("name, pairs, eps_fractions", [
         ("cantor", 500, (0.9, 0.6, 1 / 3, 0.1, 0.01)),
@@ -257,7 +272,7 @@ class TestResidueExpansion:
 
     @pytest.mark.parametrize("omega", [1e-13, 1.0 - 5e-13])
     def test_zero_at_an_integer_pole(self, cantor, omega):
-        zeros = ZeroSet.build(cantor.ratios, [(complex(CANTOR_D), 1), (complex(omega), 1)])
+        zeros = ZeroSet.build(cantor.ratios, [complex(CANTOR_D), complex(omega)], [1, 1])
         with pytest.raises(PoleProximityError):
             tube_volume_residues(cantor, 0.1, 0, 10.0, zeros=zeros)
 

@@ -34,8 +34,10 @@ from tubeforge.cli import main  # noqa: E402
 from workloads import WORKLOADS, generate  # noqa: E402
 
 # Every command on the preset sprays, run from a directory holding cantor.json,
-# square.json and broken.json (the Cantor string with a generator volume that
-# breaks continuity at the inradius, so validation fails).
+# square.json, broken.json (the Cantor string with a generator volume that
+# breaks continuity at the inradius, so validation fails) and repeated.json
+# (a lattice list whose polynomial 1 - 3z^2 - 2z^3 has the double root -1, so
+# half of its zeros have multiplicity 2).
 PRESET_RUNS = (
     ["dim", "square.json"],
     ["validate", "cantor.json"],
@@ -45,6 +47,9 @@ PRESET_RUNS = (
     ["czeros", "square.json", "--T", "20", "-o", "zeros.json"],
     ["tube", "cantor.json", "--eps", "0.1", "--method", "both", "-o", "tube.txt"],
     ["dim", "cantor.json", "-o", "dim.txt"],
+    ["czeros", "repeated.json", "--T", "60"],
+    ["tube", "repeated.json", "--eps", "0.05", "--method", "both"],
+    ["scan", "repeated.json", "--grid", "0.01:0.2:5:log", "--pairs", "20"],
 )
 
 
@@ -76,6 +81,8 @@ def preset_digest() -> dict:
                "square": preset_config(presets.square_spray())}
     configs["broken"] = dict(configs["cantor"],
                              generator=dict(configs["cantor"]["generator"], volume=0.5))
+    configs["repeated"] = {"dimension": 1, "ratios": [0.16, 0.16, 0.16, 0.064, 0.064],
+                           "generator": {"kappa": [2.0], "inradius": 0.25, "volume": 0.5}}
     result, home = {}, os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         for name, config in configs.items():
