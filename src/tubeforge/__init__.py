@@ -51,10 +51,8 @@ from .moran import SimilarityDimension, similarity_dimension
 from .tubeformula import (
     CompareEntry,
     ResidueExpansion,
-    ResidueTerm,
     TubeEvaluation,
     compare,
-    contour_residue,
     integer_pole_residue,
     inverse_mellin_numeric,
     mellin_numerator,
@@ -78,7 +76,6 @@ __all__ = [
     "PoleProximityError",
     "RatioList",
     "ResidueExpansion",
-    "ResidueTerm",
     "ResourceLimitError",
     "SimilarityDimension",
     "SprayModel",
@@ -90,7 +87,6 @@ __all__ = [
     "WindowError",
     "ZeroSet",
     "compare",
-    "contour_residue",
     "count_zeros_rectangle",
     "detect_lattice",
     "direct_tube_volume",

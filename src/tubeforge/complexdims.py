@@ -1,9 +1,11 @@
 """Zeros of the Dirichlet polynomial 1 - sum(r_j^s) in a vertical window.
 
 Lattice ratio lists (all ratios integer powers of one base r) reduce to an
-ordinary polynomial in z = r^s, solved once per list by a companion
-matrix; the zeros then come in exact vertical arithmetic progressions with
-period 2*pi/ln(1/r), one array of lifts per distinct root.  Nonlattice
+ordinary polynomial in z = r^s, solved once per list: Yun's square-free
+decomposition over the integers gives each root's exact multiplicity, and a
+companion matrix per square-free factor gives the roots.  The zeros then
+come in exact vertical arithmetic progressions with period 2*pi/ln(1/r),
+one array of lifts per distinct root.  Nonlattice
 lists are handled by the argument principle: winding-number counts over
 rectangles, halved one generation at a time until each rectangle isolates
 one zero, then Newton refinement.  A winding
@@ -44,7 +46,6 @@ RESIDUAL_TOL = 1e-10
 NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 _LATTICE_MATCH_TOL = 1e-9
-_CLUSTER_TOL = 1e-6  # relative distance at which polynomial roots coincide
 _MAX_DENOMINATOR = 64
 _DEDUP_DISTANCE = 1e-8
 _PERTURB_RETRIES = 5
@@ -149,11 +150,12 @@ def dirichlet_poly(ratios: RatioList, s):
     return acc
 
 
-def dirichlet_poly_deriv(ratios: RatioList, s):
-    """f'(s) = -sum(r_j^s ln r_j); s may be a complex scalar or ndarray."""
+def dirichlet_poly_deriv(ratios: RatioList, s, order: int = 1):
+    """The derivative f^(order)(s) = -sum(r_j^s ln^order r_j), order >= 1;
+    s may be a complex scalar or ndarray."""
     acc = 0.0
     for r, m in ratios.distinct:
-        acc = acc - m * math.log(r) * np.exp(s * math.log(r))
+        acc = acc - m * math.log(r) ** order * np.exp(s * math.log(r))
     return acc
 
 
@@ -206,14 +208,85 @@ def detect_lattice(ratios: RatioList) -> LatticeStructure:
 
 
 def _polynomial_roots(exponents):
-    """Distinct roots of 1 - sum(z^k_j) with multiplicities, by a companion
-    matrix."""
+    """Distinct roots of 1 - sum(z^k_j) with their exact multiplicities,
+    ((z, m), ...): a companion matrix per square-free factor."""
     deg = max(exponents)
-    coeffs = np.zeros(deg + 1)
-    coeffs[-1] = 1.0  # constant term
+    coeffs = [0] * deg + [1]  # highest degree first
     for k in exponents:
-        coeffs[deg - k] -= 1.0
-    return tuple(_cluster_roots(list(map(complex, np.roots(coeffs)))))
+        coeffs[deg - k] -= 1
+    return tuple((complex(z), m) for factor, m in _square_free_factors(coeffs)
+                 for z in np.roots(factor))
+
+
+# Integer polynomials as lists of Python ints, highest degree first, with no
+# leading zero; the zero polynomial is [].
+
+def _strip(p):
+    while p and not p[0]:
+        p = p[1:]
+    return p
+
+
+def _derivative(p):
+    return [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+
+
+def _primitive(p):
+    """p over the gcd of its coefficients, signed so that a nonzero constant
+    term is positive."""
+    content = math.gcd(*p)
+    return [c // (-content if p[-1] < 0 else content) for c in p]
+
+
+def _pseudo_remainder(p, q):
+    """The remainder of lead(q)^k p divided by q, an integer polynomial."""
+    while len(p) >= len(q):
+        lead = p[0]
+        p = _strip([q[0] * a - lead * b
+                    for a, b in zip(p[1:], q[1:] + [0] * (len(p) - len(q)))])
+    return p
+
+
+def _gcd(p, q):
+    """Primitive gcd of two integer polynomials, by primitive pseudo-remainders."""
+    p = _primitive(p)
+    while q:
+        q = _primitive(q)
+        p, q = q, _pseudo_remainder(p, q)
+    return p
+
+
+def _exact_quotient(p, q):
+    """p / q for a primitive q dividing p: by Gauss's lemma the quotient has
+    integer coefficients, so each long-division step is exact."""
+    quotient = []
+    while len(p) >= len(q):
+        lead = p[0] // q[0]
+        quotient.append(lead)
+        p = [a - lead * b for a, b in zip(p[1:], q[1:] + [0] * (len(p) - len(q)))]
+    return quotient
+
+
+def _square_free_factors(p):
+    """Yun's square-free decomposition (SYMSAC 1976) of an integer polynomial
+    p with p(0) != 0: [(factor, m), ...] with p = +-prod(factor^m), the factors
+    primitive, square-free, pairwise coprime and not constant; a square-free
+    p is its own only factor."""
+    dp = _derivative(p)
+    common = _gcd(p, dp)
+    if len(common) == 1:
+        return [(p, 1)]
+    b, c = _exact_quotient(p, common), _exact_quotient(dp, common)
+    factors = []
+    m = 1
+    while len(b) > 1:
+        d = _strip([x - y for x, y in zip(c, _derivative(b))])  # deg c = deg b - 1
+        factor = _gcd(b, d)
+        b, c = _exact_quotient(b, factor), _exact_quotient(d, factor)
+        if len(factor) > 1:
+            factors.append((factor, m))
+        m += 1
+    return factors
 
 
 def refine_zero(ratios: RatioList, seed: complex) -> complex:
@@ -236,20 +309,6 @@ def refine_zero(ratios: RatioList, seed: complex) -> complex:
     raise ConvergenceError(
         f"Newton iteration from seed {seed!r} did not reach |f| < {NEWTON_TOL}"
     )
-
-
-def _cluster_roots(roots):
-    """Group numerically coincident polynomial roots into (value, count)."""
-    remaining = sorted(roots, key=lambda z: (z.real, z.imag))
-    clusters = []
-    for z in remaining:
-        for idx, (c, cnt) in enumerate(clusters):
-            if abs(z - c) <= _CLUSTER_TOL * (1.0 + abs(c)):
-                clusters[idx] = ((c * cnt + z) / (cnt + 1), cnt + 1)
-                break
-        else:
-            clusters.append((z, 1))
-    return clusters
 
 
 def _check_window(ratios: RatioList, im_window: float) -> None:
@@ -306,7 +365,8 @@ def lattice_zeros(structure: LatticeStructure, ratios: RatioList, im_window: flo
         s0 = cmath.log(z) / log_base  # z != 0: the constant term is 1
         k = np.arange(math.ceil((-_REAL_IM_TOL - s0.imag) / period),
                       math.floor((tol_t - s0.imag) / period) + 1)
-        lifts.append((np.full(k.size, s0.real), s0.imag + k * period, np.full(k.size, m)))
+        sigma = s0.real + 0.0  # a root on the unit circle has Re s0 = 0.0 / ln(base) = -0.0
+        lifts.append((np.full(k.size, sigma), s0.imag + k * period, np.full(k.size, m)))
     re, im, mult = (np.concatenate(parts) for parts in zip(*lifts))
     omega = np.empty(re.size, dtype=np.complex128)
     omega.real, omega.imag = re, im

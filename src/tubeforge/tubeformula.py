@@ -4,15 +4,16 @@ The normalized tube function has the transform N(s) / (1 - sum r_j^s)
 with N(s) = sum(kappa_i g^(s-i) / (s-i), i = 0..n), kappa_n = -Vol(G).
 For eps < g the tube volume is the sum of residues of
 eps^(n-s) N(s) / (1 - sum r_j^s) over the integer poles 0..n-1 and the
-complex dimensions.  At a simple zero omega the residue is
-eps^(n-omega) c with c = N(omega)/f'(omega) independent of eps, so a
-``ResidueExpansion`` computes every c once per (model, ``ZeroSet``, pairs)
-in one array pass.  The residue at conj(omega) is the conjugate of the one
-at omega, so the expansion holds the real zeros and the upper half only,
-and each eps costs one exponential per real zero or conjugate pair.
-Zeros that are multiple or have a near-degenerate f' keep a per-eps
-contour integral.  Truncation is by conjugate pairs ordered by |Im|, so
-every partial sum is real up to rounding.
+complex dimensions.  At a zero omega of multiplicity m the residue is
+eps^(n-omega) times a polynomial of degree m - 1 in ln eps whose
+coefficients come from the Taylor coefficients of N and f at omega; at a
+simple zero it is eps^(n-omega) N(omega)/f'(omega).  A
+``ResidueExpansion`` computes every coefficient once per (model,
+``ZeroSet``, pairs) in one array pass per multiplicity.  The residue at
+conj(omega) is the conjugate of the one at omega, so the expansion holds
+the real zeros and the upper half only, and each eps costs one
+exponential per real zero or conjugate pair.  Truncation is by conjugate
+pairs ordered by |Im|, so every partial sum is real up to rounding.
 """
 
 from __future__ import annotations
@@ -41,25 +42,11 @@ from .parallel import map_ordered
 from .summation import compensated_cumsum
 
 _POLE_PROXIMITY = 1e-12
-_SIMPLE_ZERO_MIN_DERIV = 1e-8
-_CONTOUR_TOL = 1e-10
-_CONTOUR_MAX_REFINE = 20
 # Bromwich trapezoid: 4096 intervals, doubled until two estimates agree to
 # atol + rtol*|estimate|.
 _INVMELLIN_ATOL = 1e-9
 _INVMELLIN_RTOL = 1e-8
 _INVMELLIN_DOUBLINGS = 12
-
-KIND_SIMPLE_ZERO = "simple-zero"
-KIND_CONTOUR_FALLBACK = "contour-fallback"
-
-
-@dataclass(frozen=True)
-class ResidueTerm:
-    location: complex
-    value: complex
-    kind: str
-
 
 @dataclass(frozen=True)
 class TubeEvaluation:
@@ -88,8 +75,9 @@ class CompareEntry:
     error: str = ""
 
 
-def mellin_numerator(gen: MonophaseGenerator, s):
-    """N(s) = sum(kappa_i g^(s-i)/(s-i), i=0..n) with kappa_n = -Vol(G).
+def mellin_numerator(gen: MonophaseGenerator, s, order: int = 0):
+    """N(s) = sum(kappa_i g^(s-i)/(s-i), i=0..n) with kappa_n = -Vol(G), or
+    its derivative N^(order)(s).
 
     s may be a complex scalar or ndarray.  Raises PoleProximityError if
     some s lies within reach of a pole of N.
@@ -106,13 +94,15 @@ def mellin_numerator(gen: MonophaseGenerator, s):
                 f"s = {complex(np.ravel(s)[near[0]])!r} is within "
                 f"{_POLE_PROXIMITY} of the pole at {i}"
             )
-        acc = acc + k * np.exp((s - i) * log_g) / (s - i)
+        term = k * np.exp((s - i) * log_g)
+        if order:
+            # with d = s - i, the order-th derivative of g^d/d is
+            # order! g^d/d sum((ln g)^p/p! (-1/d)^(order-p), p = 0..order)
+            term = term * math.factorial(order) * sum(
+                log_g**p / math.factorial(p) * (-1.0 / (s - i)) ** (order - p)
+                for p in range(order + 1))
+        acc = acc + term / (s - i)
     return acc
-
-
-def _is_simple(multiplicity, deriv):
-    """Whether a zero takes the closed-form residue; scalars or arrays."""
-    return (multiplicity == 1) & (abs(deriv) >= _SIMPLE_ZERO_MIN_DERIV)
 
 
 def integer_pole_residue(model: SprayModel, i: int, eps: float) -> float:
@@ -129,81 +119,52 @@ def integer_pole_residue(model: SprayModel, i: int, eps: float) -> float:
     return eps ** (n - i) * k / denom
 
 
-def _nearest_singularity_distance(model: SprayModel, center: complex, others):
-    gen = model.generator
-    candidates = [complex(i) for i in range(gen.dimension + 1)
-                  if gen.kappa_extended(i) != 0.0]
-    if others:
-        candidates.extend(others)
-    dists = [abs(center - c) for c in candidates if abs(center - c) > 1e-9]
-    return min(dists) if dists else 0.1
+def _laurent_coefficients(model: SprayModel, omegas, multiplicities):
+    """C, of shape (zeros, max multiplicity): the residue at omega[i] is
+    eps^(n-omega[i]) sum(C[i, j] ln(eps)^j).
+
+    With s = omega + h, f(s) = h^m a(h) and N(s) = b(h), a_k =
+    f^(m+k)(omega)/(m+k)! and b_k = N^(k)(omega)/k!; the residue is the h^(m-1)
+    coefficient of eps^(n-omega) e^(-h ln eps) b(h)/a(h).  The quotient
+    q = b/a is taken by long division, so at a simple zero C[i, 0] = q_0 is
+    N(omega)/f'(omega) exactly.
+    """
+    coeffs = np.zeros((len(omegas), int(multiplicities.max(initial=1))), dtype=complex)
+    for m in np.unique(multiplicities).tolist():
+        at = multiplicities == m
+        omega = omegas[at]
+        b = [mellin_numerator(model.generator, omega, k) / math.factorial(k)
+             for k in range(m)]
+        a = [dirichlet_poly_deriv(model.ratios, omega, m + k) / math.factorial(m + k)
+             for k in range(m)]
+        q = []
+        for k in range(m):
+            q.append((b[k] - sum(a[i] * q[k - i] for i in range(1, k + 1))) / a[0])
+        for j in range(m):
+            coeffs[at, j] = q[m - 1 - j] * ((-1) ** j / math.factorial(j))
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _residues(n: int, omegas, coeffs, log_eps: float):
+    """eps^(n-omega) sum(C[:, j] ln(eps)^j), by Horner in ln eps."""
+    poly = coeffs[:, -1]
+    for j in reversed(range(coeffs.shape[1] - 1)):
+        poly = poly * log_eps + coeffs[:, j]
+    return np.exp((n - omegas) * log_eps) * poly
 
 
 def zero_residue(model: SprayModel, omega: complex, multiplicity: int,
-                 eps: float, others=()) -> ResidueTerm:
-    """Residue at a complex dimension omega of the given multiplicity.
-
-    Simple zeros use the closed form eps^(n-omega) N(omega)/f'(omega);
-    multiple zeros and near-degenerate derivatives fall back to a small
-    contour integral.  ``others`` may list additional singularities used
-    only to size the fallback contour.
-    """
+                 eps: float) -> complex:
+    """Residue of eps^(n-s) N(s)/(1 - sum r_j^s) at a complex dimension omega
+    of the given multiplicity: the one-zero case of ``ResidueExpansion``."""
     if not (eps > 0.0):
         raise DomainError(f"residue needs eps > 0, got {eps!r}")
-    deriv = dirichlet_poly_deriv(model.ratios, omega)
-    if _is_simple(multiplicity, deriv):
-        n = model.generator.dimension
-        value = (
-            np.exp((n - omega) * math.log(eps))
-            * mellin_numerator(model.generator, omega)
-            / deriv
-        )
-        return ResidueTerm(omega, complex(value), KIND_SIMPLE_ZERO)
-    radius = min(0.4 * _nearest_singularity_distance(model, omega, others), 0.1)
-    value = contour_residue(model, omega, radius, eps)
-    return ResidueTerm(omega, value, KIND_CONTOUR_FALLBACK)
-
-
-def _integrand(model: SprayModel, s: np.ndarray, eps: float) -> np.ndarray:
-    n = model.generator.dimension
-    return (
-        np.exp((n - s) * math.log(eps))
-        * mellin_numerator(model.generator, s)
-        / dirichlet_poly(model.ratios, s)
-    )
-
-
-def contour_residue(model: SprayModel, center: complex, radius: float,
-                    eps: float) -> complex:
-    """(1/2*pi*i) * integral of the tube integrand around a circle.
-
-    Periodic trapezoid, doubled until two successive refinements agree to
-    1e-10 relative; exponentially convergent for an analytic integrand.
-    """
-    if not (radius > 0.0):
-        raise DomainError(f"contour radius must be positive, got {radius!r}")
-    if not (eps > 0.0):
-        raise DomainError(f"residue needs eps > 0, got {eps!r}")
-    num = 32
-    prev = None
-    prev_scale = 0.0
-    for _ in range(_CONTOUR_MAX_REFINE + 1):
-        theta = np.linspace(0.0, 2.0 * math.pi, num, endpoint=False)
-        ring = np.exp(1j * theta)
-        values = _integrand(model, center + radius * ring, eps) * ring
-        estimate = radius * complex(np.mean(values))
-        scale = radius * float(np.mean(np.abs(values)))
-        if prev is not None:
-            tol = max(_CONTOUR_TOL * max(abs(estimate), abs(prev)),
-                      1e-13 * max(scale, prev_scale))
-            if abs(estimate - prev) <= tol:
-                return estimate
-        prev = estimate
-        prev_scale = scale
-        num *= 2
-    raise ConvergenceError(
-        f"contour residue at {center!r} (radius {radius!r}) did not converge"
-    )
+    if not multiplicity >= 1:
+        raise DomainError(f"zero multiplicity must be >= 1, got {multiplicity!r}")
+    omegas = np.array([omega], dtype=complex)
+    coeffs = _laurent_coefficients(model, omegas, np.array([multiplicity]))
+    return complex(_residues(model.generator.dimension, omegas, coeffs, math.log(eps))[0])
 
 
 def window_for_pairs(ratios, pairs: int) -> float:
@@ -240,10 +201,10 @@ class ResidueExpansion:
     the real zeros, then the ``pairs`` lowest upper-half zeros.  The
     residue at conj(omega) is the conjugate of the residue at omega, as the
     integrand is real on the real axis, so the lower half is never
-    evaluated.  ``coeffs`` holds N(omega)/f'(omega) at simple zeros and NaN
-    at the zeros listed in ``fallbacks`` (index, multiplicity), whose
-    residues are contour integrals taken per eps, sized by all of
-    ``zeros``.
+    evaluated.  ``coeffs`` has one row per kept zero and one column per
+    power of ln eps up to the largest multiplicity less one: the residue at
+    omegas[i] is eps^(n-omegas[i]) sum(coeffs[i, j] ln(eps)^j), and at a
+    simple zero coeffs[i] is N(omega)/f'(omega) followed by zeros.
     """
 
     model: SprayModel
@@ -252,7 +213,6 @@ class ResidueExpansion:
     zeros: ZeroSet
     omegas: np.ndarray
     coeffs: np.ndarray
-    fallbacks: tuple
 
     @classmethod
     def build(cls, model: SprayModel, pairs: int, im_window: float,
@@ -272,21 +232,14 @@ class ResidueExpansion:
                 f"inside the window |Im| <= {im_window}"
             )
         kept = slice(zeros.reals.start, zeros.upper.start + pairs)
-        omegas, mults = zeros.omega[kept], zeros.multiplicity[kept]
-
-        deriv = dirichlet_poly_deriv(model.ratios, omegas)
-        simple = _is_simple(mults, deriv)
-        coeffs = np.full_like(omegas, complex(math.nan, math.nan))
-        coeffs[simple] = mellin_numerator(model.generator, omegas[simple]) / deriv[simple]
-        coeffs.flags.writeable = False
+        omegas = zeros.omega[kept]
         return cls(
             model=model,
             pairs=pairs,
             im_window=im_window,
             zeros=zeros,
             omegas=omegas,
-            coeffs=coeffs,
-            fallbacks=tuple((int(k), int(mults[k])) for k in np.flatnonzero(~simple)),
+            coeffs=_laurent_coefficients(model, omegas, zeros.multiplicity[kept]),
         )
 
     def evaluate(self, eps: float, direct=None) -> TubeEvaluation:
@@ -296,10 +249,7 @@ class ResidueExpansion:
         """
         _check_residue_eps(self.model.generator, eps)
         n = self.model.generator.dimension
-        residues = np.exp((n - self.omegas) * math.log(eps)) * self.coeffs
-        for k, mult in self.fallbacks:
-            residues[k] = zero_residue(self.model, complex(self.omegas[k]), mult, eps,
-                                       others=self.zeros.omega.tolist()).value
+        residues = _residues(n, self.omegas, self.coeffs, math.log(eps))
         poles = [integer_pole_residue(self.model, i, eps) for i in range(n)]
         # Each upper-half residue is followed by its conjugate, the residue
         # at the conjugate zero.  Partial sums: after the poles and real
@@ -393,28 +343,21 @@ def compare(model: SprayModel, eps_grid, pairs: int, im_window: float):
 
     One ``ResidueExpansion`` and one ``DirectExpansion`` serve the whole
     grid.  Any eps <= 0 raises ``DomainError`` for the whole grid (the
-    direct expansion cannot be built); a grid point with eps >= g, or a
-    residue expansion that cannot be built, gives an error entry.
+    direct expansion cannot be built), and so does a residue expansion that
+    cannot be built; a grid point with eps >= g gives an error entry.
     """
     eps_list = [float(e) for e in eps_grid]
     if not eps_list:
         return []
     direct_expansion = DirectExpansion.build(model, min(eps_list))
     expansion = None
-    failure = ""
     if any(0.0 < e < model.generator.inradius for e in eps_list):
-        zeros = find_complex_dimensions(model, im_window)
-        try:
-            expansion = ResidueExpansion.build(model, pairs, im_window, zeros)
-        except DomainError as exc:
-            failure = str(exc)
+        expansion = ResidueExpansion.build(model, pairs, im_window)
 
     def one(eps):
         direct = direct_expansion.evaluate(eps)
         try:
             _check_residue_eps(model.generator, eps)
-            if expansion is None:
-                raise DomainError(failure)
             ev = expansion.evaluate(eps, direct)
         except DomainError as exc:
             return CompareEntry(eps, direct, math.nan, math.nan, math.nan,

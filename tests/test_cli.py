@@ -47,6 +47,9 @@ REPEATED_ROOT_CONFIG = {
     "generator": {"kappa": [2.0], "inradius": 0.25, "volume": 0.5},
 }
 
+TRIPLE_ROOT_CONFIG = dict(REPEATED_ROOT_CONFIG,
+                          ratios=[0.09] * 6 + [0.027] * 8 + [0.0081] * 3)
+
 
 def write_config(tmp_path, name, data):
     path = tmp_path / f"{name}.json"
@@ -316,6 +319,21 @@ class TestRepeatedRootDefaultWindow:
         assert [rec["pairs_used"] for rec in json.loads(out)] == [pairs] * 3
 
 
+class TestTripleRoot:
+    """1 - 6z^2 - 8z^3 - 3z^4 = (1 - 3z)(1 + z)^3: the zeros above z = -1
+    are triple, and their residues are polynomials of degree 2 in ln eps."""
+
+    def test_czeros_and_tube(self, capsys, tmp_path):
+        path = write_config(tmp_path, "triple", TRIPLE_ROOT_CONFIG)
+        code, out, err = run(capsys, "czeros", path, "--T", "20")
+        assert (code, err) == (0, "")
+        assert sorted({rec["multiplicity"] for rec in json.loads(out)}) == [1, 3]
+        code, out, err = run(capsys, "tube", path, "--eps", "0.05", "--method", "both",
+                             "--pairs", "20")
+        assert (code, err) == (0, "")
+        assert float(out.splitlines()[-1].split()[1]) < 1e-3  # rel_err
+
+
 CONFIGS = {"cantor": CANTOR_CONFIG, "half_third": HALF_THIRD_CONFIG}
 
 
@@ -335,6 +353,8 @@ class TestFailuresExitWithTheirCode:
         ("cantor", "tube {cfg} --eps 0.1 --method invmellin --T inf", 2, "half_length"),
         ("cantor", "scan {cfg} --grid 0.1:inf:3", 2, "grid"),
         ("cantor", "scan {cfg} --grid 0.01:0.1:3 --T inf", 2, "imaginary window"),
+        ("cantor", "scan {cfg} --grid 0.01:0.1:2 --pairs 1000 --T 10", 2,
+         "conjugate pairs requested"),
         ("cantor", "tube {cfg} --eps 0.1 --method residues --pairs 1000000000", 4, "zeros"),
         ("cantor", "tube {cfg} --eps 0.1 --method direct -o {tmp}/missing/out.txt", 2,
          "cannot write"),

@@ -222,6 +222,29 @@ class TestLatticeZeros:
         sigma = zero_free_abscissa(rl)
         assert sum(mult) == count_zeros_rectangle(rl, (sigma, 1.3, -60.0, 60.0))
 
+    @pytest.mark.parametrize("ratios, roots", [
+        (REPEATED_ROOT, [(0.5, 1), (-1.0, 2)]),
+        # b = 0.3: 1 - 6z^2 - 8z^3 - 3z^4 = (1 - 3z)(1 + z)^3
+        ([0.09] * 6 + [0.027] * 8 + [0.0081] * 3, [(1 / 3, 1), (-1.0, 3)]),
+        # b = 0.2: 1 - 10z^2 - 20z^3 - 15z^4 - 4z^5 = (1 - 4z)(1 + z)^4
+        ([0.04] * 10 + [0.008] * 20 + [0.0016] * 15 + [0.00032] * 4, [(0.25, 1), (-1.0, 4)]),
+    ])
+    def test_exact_root_multiplicities(self, ratios, roots):
+        """np.roots spreads the triple root -1 over 7e-6 and the quadruple one
+        wider; the square-free factors have simple roots."""
+        assert detect_lattice(RatioList(ratios)).roots == tuple(
+            (complex(z), m) for z, m in roots)
+
+    def test_triple_roots_carry_multiplicity_three(self):
+        rl = RatioList([0.09] * 6 + [0.027] * 8 + [0.0081] * 3)
+        zeros = lattice_zeros(detect_lattice(rl), rl, 20.0)
+        mult = zeros.multiplicity.tolist()
+        assert (mult.count(1), mult.count(3)) == (7, 8)
+        triples = zeros.omega[zeros.multiplicity == 3].tolist()
+        assert all(math.copysign(1.0, w.real) == 1.0 and w.real == 0.0 for w in triples)
+        sigma = zero_free_abscissa(rl)
+        assert sum(mult) == count_zeros_rectangle(rl, (sigma, 1.3, -20.0, 20.0))
+
     def test_triple_half_small_window(self):
         rl = RatioList([0.5, 0.5, 0.5])
         zeros = lattice_zeros(detect_lattice(rl), rl, 1.0)

@@ -17,8 +17,6 @@ from tubeforge import (
     WindowError,
     ZeroSet,
     compare,
-    contour_residue,
-    direct_tube_volume,
     find_complex_dimensions,
     generator_tube_volume,
     integer_pole_residue,
@@ -28,9 +26,14 @@ from tubeforge import (
     window_for_pairs,
     zero_residue,
 )
+from tubeforge.complexdims import dirichlet_poly, dirichlet_poly_deriv
 from tubeforge.summation import CompensatedSum
 
 CANTOR_D = math.log(2) / math.log(3)
+# b = 0.4: 1 - 3z^2 - 2z^3 = -(1 + z)^2 (2z - 1), so a third of the zeros are double.
+REPEATED_ROOT = [0.16, 0.16, 0.16, 0.064, 0.064]
+# b = 0.3: 1 - 6z^2 - 8z^3 - 3z^4 = (1 - 3z)(1 + z)^3, with triple zeros above z = -1.
+TRIPLE_ROOT = [0.09] * 6 + [0.027] * 8 + [0.0081] * 3
 
 
 def interval_spray(ratios):
@@ -38,10 +41,43 @@ def interval_spray(ratios):
     return SprayModel(RatioList(ratios), MonophaseGenerator(1, [2.0], 0.5, 1.0))
 
 
+def contour_residue(model, center, radius, eps):
+    """(1/2 pi i) times the integral of eps^(n-s) N(s)/f(s) around a circle.
+
+    Periodic trapezoid from 128 nodes, doubled until two successive
+    refinements agree to 1e-10 relative; exponentially convergent for an
+    analytic integrand.  (Agreement to 1e-12 is never reached at the triple
+    zeros of TRIPLE_ROOT: rounding stops the refinements converging.)
+    """
+    n = model.generator.dimension
+    num, prev, prev_scale = 128, None, 0.0
+    for _ in range(9):
+        ring = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, num, endpoint=False))
+        s = center + radius * ring
+        values = (np.exp((n - s) * math.log(eps)) * mellin_numerator(model.generator, s)
+                  / dirichlet_poly(model.ratios, s) * ring)
+        estimate = radius * complex(np.mean(values))
+        scale = radius * float(np.mean(np.abs(values)))
+        if prev is not None and abs(estimate - prev) <= max(
+                1e-10 * max(abs(estimate), abs(prev)), 1e-13 * max(scale, prev_scale)):
+            return estimate
+        num, prev, prev_scale = 2 * num, estimate, scale
+    raise ConvergenceError(f"contour residue at {center!r} did not converge")
+
+
+def oracle_radius(model, center, zeros):
+    """0.4 times the distance from center to the nearest other pole of the
+    integrand, at most 0.1: a much smaller circle loses digits to
+    cancellation at a multiple zero (~1e-9 at radius 1e-3 and a double one)."""
+    gen = model.generator
+    poles = [complex(i) for i in range(gen.dimension + 1) if gen.kappa_extended(i) != 0.0]
+    dists = [abs(center - c) for c in poles + zeros.omega.tolist() if abs(center - c) > 1e-9]
+    return min(0.4 * min(dists, default=0.25), 0.1)
+
+
 def oracle_partial_sums(model, eps, pairs, zeros):
     """Residue partial sums, one ``zero_residue`` per zero and eps, summed by
     componentwise compensated accumulation in the order of the expansion."""
-    locations = zeros.omega.tolist()
     re, im = CompensatedSum(), CompensatedSum()
 
     def add(value):
@@ -52,12 +88,12 @@ def oracle_partial_sums(model, eps, pairs, zeros):
         add(complex(integer_pole_residue(model, i, eps)))
     for w, m in zip(zeros.omega[zeros.reals].tolist(),
                     zeros.multiplicity[zeros.reals].tolist()):
-        add(zero_residue(model, w, m, eps, others=locations).value)
+        add(zero_residue(model, w, m, eps))
     partials = [complex(re.value, im.value)]
     uppers = zip(zeros.omega[zeros.upper].tolist(), zeros.multiplicity[zeros.upper].tolist())
     for w, m in list(uppers)[:pairs]:
-        add(zero_residue(model, w, m, eps, others=locations).value)
-        add(zero_residue(model, w.conjugate(), m, eps, others=locations).value)
+        add(zero_residue(model, w, m, eps))
+        add(zero_residue(model, w.conjugate(), m, eps))
         partials.append(complex(re.value, im.value))
     return partials
 
@@ -148,29 +184,36 @@ class TestIntegerPoleResidue:
 
 class TestZeroResidue:
     def test_cantor_real_zero_closed_form(self, cantor):
-        term = zero_residue(cantor, complex(CANTOR_D), 1, 0.1)
+        value = zero_residue(cantor, complex(CANTOR_D), 1, 0.1)
         # eps^(1-D) * N(D) / ln 3 with N(D) = 2 (1/6)^D / (D (1-D))
         expected = 0.1 ** (1 - CANTOR_D) * (
             2 * (1 / 6) ** CANTOR_D / (CANTOR_D * (1 - CANTOR_D))
         ) / math.log(3)
-        assert term.value.real == pytest.approx(expected, rel=1e-13)
-        assert abs(term.value.imag) < 1e-12 * abs(term.value.real)
-        assert term.kind == "simple-zero"
+        assert value.real == pytest.approx(expected, rel=1e-13)
+        assert abs(value.imag) < 1e-12 * abs(value.real)
 
     def test_conjugate_pair_values_conjugate(self, cantor):
         zeros = find_complex_dimensions(cantor, 10.0)
         ups = [(w, m) for w, m in zip(zeros.omega.tolist(), zeros.multiplicity.tolist())
                if w.imag > 0]
         for w, m in ups:
-            a = zero_residue(cantor, w, m, 0.07).value
-            b = zero_residue(cantor, w.conjugate(), m, 0.07).value
+            a = zero_residue(cantor, w, m, 0.07)
+            b = zero_residue(cantor, w.conjugate(), m, 0.07)
             assert a.real == pytest.approx(b.real, rel=1e-12)
             assert a.imag == pytest.approx(-b.imag, rel=1e-12)
 
+    @pytest.mark.parametrize("multiplicity", [0, -1])
+    def test_rejects_a_multiplicity_below_one(self, cantor, multiplicity):
+        with pytest.raises(DomainError, match="multiplicity"):
+            zero_residue(cantor, complex(CANTOR_D), multiplicity, 0.1)
+
 
 class TestContourResidue:
+    """The test oracle for residues at multiple zeros."""
+
+
     def test_matches_closed_form_at_dimension(self, cantor):
-        closed = zero_residue(cantor, complex(CANTOR_D), 1, 0.1).value
+        closed = zero_residue(cantor, complex(CANTOR_D), 1, 0.1)
         ring = contour_residue(cantor, complex(CANTOR_D), 0.1, 0.1)
         assert abs(ring - closed) < 1e-9
 
@@ -242,33 +285,77 @@ class TestResidueExpansion:
         ("cantor", 500, (0.9, 0.6, 1 / 3, 0.1, 0.01)),
         ("half-quarter", 100, (0.9, 0.5, 0.1, 0.003)),
         ("geometric-0.4", 100, (0.8, 0.2, 0.02)),
+        ("repeated-0.4", 100, (0.8, 0.2, 0.02)),
     ])
     def test_matches_per_zero_oracle_lattice(self, cantor, name, pairs, eps_fractions):
         model = {
             "cantor": cantor,
             "half-quarter": interval_spray([0.5, 0.25]),
             "geometric-0.4": interval_spray([0.4, 0.16, 0.064]),
+            "repeated-0.4": interval_spray(REPEATED_ROOT),
         }[name]
         window = window_for_pairs(model.ratios, pairs)
         zeros = find_complex_dimensions(model, window)
         g = model.generator.inradius
         expansion = assert_matches_oracle(
             model, [f * g for f in eps_fractions], pairs, window, zeros)
-        assert len(expansion.omegas) == pairs + 1
-        assert expansion.fallbacks == ()
+        assert expansion.coeffs.shape == (pairs + 1, zeros.multiplicity.max())
 
     def test_matches_per_zero_oracle_square(self, square, square_zeros_200_pairs):
         window, zeros = square_zeros_200_pairs
         g = square.generator.inradius
         assert_matches_oracle(square, [g / 2, g / 8, g / 100], 200, window, zeros)
 
-    def test_contour_fallback_for_every_zero(self, cantor, monkeypatch):
-        monkeypatch.setattr(tubeformula, "_SIMPLE_ZERO_MIN_DERIV", 1e300)
-        window = window_for_pairs(cantor.ratios, 20)
-        zeros = find_complex_dimensions(cantor, window)
-        expansion = assert_matches_oracle(cantor, [0.1, 0.03], 20, window, zeros)
-        assert len(expansion.fallbacks) == len(expansion.omegas) == 21
-        assert np.isnan(expansion.coeffs).all()
+    @pytest.mark.parametrize("ratios, pairs, multiplicity", [
+        (REPEATED_ROOT, 50, 2), (REPEATED_ROOT, 200, 2), (REPEATED_ROOT, 500, 2),
+        (TRIPLE_ROOT, 50, 3),
+    ], ids=["double-50", "double-200", "double-500", "triple-50"])
+    def test_multiple_zeros_match_the_contour_oracle(self, ratios, pairs, multiplicity):
+        model = interval_spray(ratios)
+        window = window_for_pairs(model.ratios, pairs)
+        zeros = find_complex_dimensions(model, window)
+        expansion = ResidueExpansion.build(model, pairs, window, zeros)
+        kept = zeros.multiplicity[zeros.reals.start:zeros.upper.start + pairs]
+        assert expansion.coeffs.shape == (pairs + 1, multiplicity)
+        multiple = expansion.omegas[kept == multiplicity].tolist()
+        assert len(multiple) > pairs // 4
+        g = model.generator.inradius
+        for eps in (g / 2, g / 50):
+            for w in multiple:
+                want = contour_residue(model, w, oracle_radius(model, w, zeros), eps)
+                assert abs(zero_residue(model, w, multiplicity, eps) - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("name", ["cantor", "square"])
+    def test_simple_zeros_take_n_over_fprime(self, cantor, square, square_zeros_200_pairs,
+                                             name):
+        if name == "cantor":
+            model, pairs = cantor, 500
+            window = window_for_pairs(cantor.ratios, pairs)
+            zeros = find_complex_dimensions(cantor, window)
+        else:
+            model, pairs = square, 200
+            window, zeros = square_zeros_200_pairs
+        expansion = ResidueExpansion.build(model, pairs, window, zeros)
+        omegas = expansion.omegas
+        assert expansion.coeffs.shape == (pairs + 1, 1)
+        assert np.array_equal(expansion.coeffs[:, 0],
+                              mellin_numerator(model.generator, omegas)
+                              / dirichlet_poly_deriv(model.ratios, omegas))
+
+    def test_near_lattice_zeros_are_far_from_degenerate(self):
+        """Why a simple zero needs no floor on |f'|: perturbing one ratio of
+        the b = 0.4 list by up to 3e-9 relative keeps it lattice, with exact
+        double zeros, while at 1e-7 the doubles split into simple zeros with
+        |f'| near 1.9e-3 (5.9e-4 at 1e-8, where the search is far slower)."""
+        for delta in (1e-9, 3e-9):
+            zeros = find_complex_dimensions(
+                interval_spray([0.16 * (1 + delta)] + REPEATED_ROOT[1:]), 4.0)
+            assert zeros.multiplicity.tolist() == [2, 1, 2]
+        model = interval_spray([0.16 * (1 + 1e-7)] + REPEATED_ROOT[1:])
+        assert not model.ratios.lattice.is_lattice
+        zeros = find_complex_dimensions(model, 4.0, re_floor=-0.25)  # all zeros: Re > -0.001
+        assert zeros.multiplicity.tolist() == [1] * 5
+        assert np.abs(dirichlet_poly_deriv(model.ratios, zeros.omega)).min() > 1e-3
 
     @pytest.mark.parametrize("omega", [1e-13, 1.0 - 5e-13])
     def test_zero_at_an_integer_pole(self, cantor, omega):
@@ -331,13 +418,10 @@ class TestCompare:
         with pytest.raises(DomainError, match="eps > 0, got 0.0"):
             compare(cantor, [0.05, 0.0], 20, 60.0)
 
-    def test_window_error_per_entry(self, cantor):
+    def test_window_error_raises_for_the_grid(self, cantor):
         g = cantor.generator.inradius
-        entries = compare(cantor, [g / 2, 2 * g], 50, 10.0)
-        assert "conjugate pairs requested" in entries[0].error
-        assert math.isnan(entries[0].residues)
-        assert entries[0].direct == pytest.approx(direct_tube_volume(cantor, g / 2))
-        assert "eps < g" in entries[1].error
+        with pytest.raises(WindowError, match="conjugate pairs requested"):
+            compare(cantor, [g / 2, 2 * g], 50, 10.0)
 
     def test_coefficients_once_per_zero(self, cantor, monkeypatch):
         """A 200-eps grid evaluates N and f' once per kept real zero or
@@ -347,9 +431,9 @@ class TestCompare:
         def counting(name):
             original = getattr(tubeformula, name)
 
-            def wrapper(first, s):
+            def wrapper(first, s, *order):
                 nodes[name] += int(getattr(s, "size", 1))
-                return original(first, s)
+                return original(first, s, *order)
 
             return wrapper
 

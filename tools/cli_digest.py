@@ -37,7 +37,8 @@ from workloads import WORKLOADS, generate  # noqa: E402
 # square.json, broken.json (the Cantor string with a generator volume that
 # breaks continuity at the inradius, so validation fails) and repeated.json
 # (a lattice list whose polynomial 1 - 3z^2 - 2z^3 has the double root -1, so
-# half of its zeros have multiplicity 2).
+# half of its zeros have multiplicity 2) and triple.json (b = 0.3: 1 - 6z^2 -
+# 8z^3 - 3z^4 = (1 - 3z)(1 + z)^3 has the triple root -1).
 PRESET_RUNS = (
     ["dim", "square.json"],
     ["validate", "cantor.json"],
@@ -50,6 +51,9 @@ PRESET_RUNS = (
     ["czeros", "repeated.json", "--T", "60"],
     ["tube", "repeated.json", "--eps", "0.05", "--method", "both"],
     ["scan", "repeated.json", "--grid", "0.01:0.2:5:log", "--pairs", "20"],
+    ["czeros", "triple.json", "--T", "20"],
+    ["tube", "triple.json", "--eps", "0.05", "--method", "both", "--pairs", "20"],
+    ["scan", "triple.json", "--grid", "0.01:0.2:5:log", "--pairs", "20"],
 )
 
 
@@ -83,6 +87,7 @@ def preset_digest() -> dict:
                              generator=dict(configs["cantor"]["generator"], volume=0.5))
     configs["repeated"] = {"dimension": 1, "ratios": [0.16, 0.16, 0.16, 0.064, 0.064],
                            "generator": {"kappa": [2.0], "inradius": 0.25, "volume": 0.5}}
+    configs["triple"] = dict(configs["repeated"], ratios=[0.09] * 6 + [0.027] * 8 + [0.0081] * 3)
     result, home = {}, os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         for name, config in configs.items():
