@@ -5,23 +5,23 @@ ordinary polynomial in z = r^s, solved once per list: Yun's square-free
 decomposition over the integers gives each root's exact multiplicity, and a
 companion matrix per square-free factor gives the roots.  The zeros then
 come in exact vertical arithmetic progressions with period 2*pi/ln(1/r),
-one array of lifts per distinct root.  Nonlattice
-lists are handled by the argument principle: winding-number counts over
-rectangles, halved one generation at a time until each rectangle isolates
-one zero, then Newton refinement.  A winding
-number is the sum of arg changes of f along pieces of the boundary; a
-bound on |f'| certifies that f cannot wind around 0 within a piece, so
-each count is an exact integer (Ying & Katz, Numer. Math. 53, 1988).  The
-edges of a whole generation are certified in one batch, and each segment
-is cached in both orientations, so an edge two rectangles share is
-certified once.  Conjugate symmetry leaves a thin band around the real
-axis and the upper half to search; the first generation's counts of these
-two also give the window's total.  Both routes compute only the real axis
-and the upper half, and pass them as arrays to ``ZeroSet.build``, which
-sorts them by (Im, Re) with one lexsort, drops near-duplicates by the
-distance to their neighbour and mirrors them: the zeros, their
-multiplicities and residuals as read-only arrays, sorted by (Im, Re) and
-exactly conjugate-symmetric.
+one array of lifts per distinct root.  Nonlattice lists are handled by the
+argument principle: winding-number counts over rectangles, halved one
+generation at a time until each rectangle isolates one zero, then Newton
+refinement.  A winding number is the sum of arg changes of f along pieces
+of the boundary; a bound on |f'| certifies that f cannot wind around 0
+within a piece, so each count is an exact integer (Ying & Katz, Numer.
+Math. 53, 1988).  The edges of a whole generation are certified in one
+batch, and each segment is cached in both orientations, so an edge two
+rectangles share is certified once.  Each contour node's f, rounding bound
+and |f'| bound come from one exponential per ratio, with ln r_j computed
+once per ratio list.  The one real zero is Moran's D, so conjugate symmetry
+leaves the upper half to search, and its first count also gives the
+window's total.  Both routes compute only the real axis and the upper
+half, and pass them as arrays to ``ZeroSet.build``, which sorts them by
+(Im, Re) with one lexsort, drops near-duplicates by the distance to their
+neighbour and mirrors them: the zeros, their multiplicities and residuals
+as read-only arrays, sorted by (Im, Re) and exactly conjugate-symmetric.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def dirichlet_poly(ratios: RatioList, s):
     """f(s) = 1 - sum(r_j^s); s may be a complex scalar or ndarray, and a
     scalar gives the bits it would give inside an ndarray."""
     acc = 1.0
-    for r, m in ratios.distinct:
-        acc = acc - m * np.exp(s * math.log(r))
+    for (_, m), lg in zip(ratios.distinct, ratios.logs):
+        acc = acc - m * np.exp(s * lg)
     return acc
 
 
@@ -154,8 +154,8 @@ def dirichlet_poly_deriv(ratios: RatioList, s, order: int = 1):
     """The derivative f^(order)(s) = -sum(r_j^s ln^order r_j), order >= 1;
     s may be a complex scalar or ndarray."""
     acc = 0.0
-    for r, m in ratios.distinct:
-        acc = acc - m * math.log(r) ** order * np.exp(s * math.log(r))
+    for (_, m), lg in zip(ratios.distinct, ratios.logs):
+        acc = acc - m * lg**order * np.exp(s * lg)
     return acc
 
 
@@ -166,12 +166,12 @@ def detect_lattice(ratios: RatioList) -> LatticeStructure:
     accepted only if the reconstructed base**k_j matches every ratio to 1e-9.
     """
     distinct = ratios.distinct
-    logs = [math.log(r) for r, _ in distinct]
+    logs = ratios.logs
 
     if len(distinct) == 1:
         base = distinct[0][0]
         exponents = tuple(1 for _ in ratios.ratios)
-        return LatticeStructure(True, base, exponents, 2.0 * math.pi / -math.log(base),
+        return LatticeStructure(True, base, exponents, 2.0 * math.pi / -logs[0],
                                 _polynomial_roots(exponents))
 
     fracs = []
@@ -316,7 +316,7 @@ def _check_window(ratios: RatioList, im_window: float) -> None:
     zeros by the zero counting function T ln(1/r_min)/pi."""
     if not (0.0 < im_window < math.inf):
         raise DomainError(f"imaginary window must be finite and > 0, got {im_window!r}")
-    expected = im_window * -math.log(ratios.ratios[-1]) / math.pi
+    expected = im_window * -ratios.logs[-1] / math.pi
     if expected > MAX_ZEROS:
         raise ResourceLimitError(
             f"window |Im| <= {im_window!r} holds about {expected:.3g} zeros, "
@@ -325,17 +325,13 @@ def _check_window(ratios: RatioList, im_window: float) -> None:
 
 
 def _check_floor(ratios: RatioList, sigma: float, im_window: float) -> None:
-    """Raise unless the rounding bound of f (see ``_evaluate``) is finite at
+    """Raise unless the rounding bound of f (see ``_bounds``) is finite at
     the far corner sigma + i*T of the search, pushed outward by every retry
     (see ``_perturb``): far left, r_min^sigma overflows."""
     re_lo, _, _, im_hi = _perturb((sigma, sigma, -im_window, im_window), _PERTURB_RETRIES)
-    reach = abs(complex(re_lo, im_hi))
-    try:
-        weight = 1.0 + sum(m * r**re_lo * (1.0 - reach * math.log(r))
-                           for r, m in ratios.distinct)
-    except OverflowError:
-        weight = math.inf
-    if not weight < math.inf:
+    with np.errstate(over="ignore"):
+        err, _ = _bounds(np.array([complex(re_lo, im_hi)]), *_arrays(ratios))
+    if not err[0] < math.inf:
         raise DomainError(
             f"re_floor {sigma!r} is too far left: r_min^re_floor (r_min = "
             f"{ratios.ratios[-1]!r}) overflows the rounding bound of the zero search"
@@ -382,30 +378,32 @@ def lattice_zeros(structure: LatticeStructure, ratios: RatioList, im_window: flo
     return ZeroSet.build(ratios, omega, mult)
 
 
-def _moduli(logs, mults, sigma):
-    """Per real abscissa (rows) and distinct ratio (columns): m_j r_j^sigma,
-    from the arrays of ln r_j and m_j."""
-    return mults * np.exp(np.multiply.outer(sigma, logs))
+def _arrays(ratios: RatioList):
+    """The arrays of ln r_j and m_j over the distinct ratios."""
+    return np.array(ratios.logs), np.array([float(m) for _, m in ratios.distinct])
+
+
+def _bounds(s, logs, mults):
+    """At the nodes s: E, a bound on the rounding error of f, and
+    M = sum m_j |ln r_j| r_j^Re(s), a bound on |f'| right of Re(s), from one
+    m_j r_j^Re(s) per ratio.  Term j of f is off by about (1 + |s| |ln r_j|)
+    units in the last place of that modulus, the rounding of its exponent
+    carried through exp, and each of the J + 1 additions adds one unit."""
+    terms = mults * np.exp(np.multiply.outer(s.real, logs))
+    weight = 1.0 + np.sum(terms * (1.0 + np.multiply.outer(np.abs(s), -logs)), axis=-1)
+    return _ROUNDING * (len(logs) + 1) * weight, terms @ -logs
 
 
 def _evaluate(ratios: RatioList, s, logs, mults):
-    """f at the nodes s, and a bound E on the rounding error of each value.
-
-    Term j is off by about (1 + |s| |ln r_j|) units in the last place of
-    m_j r_j^Re(s), the rounding of its exponent carried through exp, and
-    each of the J + 1 additions adds one unit of the running sum.  Raises
-    BoundaryProximityError where |f| <= 2E: a zero sits on the node.
-    """
+    """f, E and M at the nodes s (see ``_bounds``); raises where |f| <= 2E."""
     f = dirichlet_poly(ratios, s)
-    terms = _moduli(logs, mults, s.real)
-    weight = 1.0 + np.sum(terms * (1.0 + np.multiply.outer(np.abs(s), -logs)), axis=-1)
-    err = _ROUNDING * (len(logs) + 1) * weight
+    err, slope = _bounds(s, logs, mults)
     if np.any(np.abs(f) <= 2.0 * err):
         raise BoundaryProximityError(
             f"f vanishes to rounding at a contour node near "
             f"{complex(s[np.argmin(np.abs(f) / err)])!r}"
         )
-    return f, err
+    return f, err, slope
 
 
 def _bisect(ratios: RatioList, segments, cache) -> None:
@@ -414,10 +412,10 @@ def _bisect(ratios: RatioList, segments, cache) -> None:
     All segments go through one breadth-first bisection, one batch of new
     nodes per level: the zero search passes every uncached edge of a whole
     generation of rectangles at once.  A piece [u, v] is done once
-    M*|v - u| + E < max(|f(u)|, |f(v)|)/2, where M = sum m_j |ln r_j|
-    r_j^sigma at sigma = min(Re u, Re v) bounds |f'| on the piece and E
-    bounds the rounding error of the computed f: then f stays in a disc that
-    excludes 0, so arg(f(v)/f(u)) is the exact change along the piece.
+    M*|v - u| + E < max(|f(u)|, |f(v)|)/2, where M, taken at the left end
+    of the piece (the end with the smaller Re), bounds |f'| on the piece and
+    E bounds the rounding error of the computed f: then f stays in a disc
+    that excludes 0, so arg(f(v)/f(u)) is the exact change along the piece.
     Every piece and every bisected segment is cached by its exact
     endpoints in both orientations, the change along (v, u) being minus
     that along (u, v), so an edge shared by two rectangles is one cache
@@ -425,25 +423,25 @@ def _bisect(ratios: RatioList, segments, cache) -> None:
     zero search makes when it splits a rectangle, so a half of a counted
     edge is a cache hit.
     """
-    logs = np.array([math.log(r) for r, _ in ratios.distinct])
-    mults = np.array([float(m) for _, m in ratios.distinct])
+    logs, mults = _arrays(ratios)
     ends = np.array(list(dict.fromkeys(p for seg in segments for p in seg)))
-    f_ends, err_ends = _evaluate(ratios, ends, logs, mults)
+    values = (ends, *_evaluate(ratios, ends, logs, mults))
     index = {p: i for i, p in enumerate(ends.tolist())}
-    iu = [index[a] for a, _ in segments]
-    iv = [index[b] for _, b in segments]
-    u, v, fu, fv, eu, ev = (ends[iu], ends[iv], f_ends[iu], f_ends[iv],
-                            err_ends[iu], err_ends[iv])
+    # (node, f, E, M) at the start u and at the end v of each open piece.
+    left = [x[[index[a] for a, _ in segments]] for x in values]
+    right = [x[[index[b] for _, b in segments]] for x in values]
     splits = []
-    while u.size:
+    while left[0].size:
+        (u, fu, eu, mu), (v, fv, ev, mv) = left, right
         length = np.abs(v - u)
-        slope = _moduli(logs, mults, np.minimum(u.real, v.real)) @ -logs
+        slope = np.where(u.real <= v.real, mu, mv)
         done = slope * length + np.maximum(eu, ev) < 0.5 * np.maximum(np.abs(fu), np.abs(fv))
         for a, b, delta in zip(u[done].tolist(), v[done].tolist(),
                                np.angle(fv[done] / fu[done]).tolist()):
             cache[(a, b)], cache[(b, a)] = delta, -delta
         open_ = ~done
-        u, v, fu, fv, eu, ev = (x[open_] for x in (u, v, fu, fv, eu, ev))
+        left, right = [x[open_] for x in left], [x[open_] for x in right]
+        u, v = left[0], right[0]
         short = length[open_] < _MIN_PIECE * np.maximum(1.0, np.abs(u))
         if np.any(short):
             raise BoundaryProximityError(
@@ -451,11 +449,10 @@ def _bisect(ratios: RatioList, segments, cache) -> None:
                 f"{_MIN_PIECE:g} relative without excluding a zero"
             )
         m = 0.5 * (u + v)
-        fm, em = _evaluate(ratios, m, logs, mults)
+        mid = (m, *_evaluate(ratios, m, logs, mults))
         splits.extend(zip(u.tolist(), m.tolist(), v.tolist()))
-        u, v = np.concatenate([u, m]), np.concatenate([m, v])
-        fu, fv = np.concatenate([fu, fm]), np.concatenate([fm, fv])
-        eu, ev = np.concatenate([eu, em]), np.concatenate([em, ev])
+        left = [np.concatenate([a, b]) for a, b in zip(left, mid)]
+        right = [np.concatenate([b, a]) for a, b in zip(right, mid)]
     for a, m, b in reversed(splits):
         delta = cache[(a, m)] + cache[(m, b)]
         cache[(a, b)], cache[(b, a)] = delta, -delta
@@ -582,33 +579,29 @@ def _count_generation(ratios: RatioList, rects, cache):
 
 def _argument_principle_zeros(ratios: RatioList, sigma: float, right: float,
                               im_window: float):
-    """Zeros in [sigma, right] x [-T, T] by winding counts and bisection.
+    """Zeros in [sigma, right] x [-T, T], sigma <= D < right, by winding
+    counts and bisection.
 
-    Conjugate symmetry halves the search: the first generation is a thin
-    band (sigma, right, -b, b), b = min(1e-3, T/4), which catches the real
-    zeros, and the upper half (sigma, right, b, T), whose zeros are
-    mirrored.  Its counts give the window's total, band + 2*upper, for two
-    reasons.  f(conj s) = conj f(s) for real ratios, so the lower half
-    winds exactly as often as the upper half.  And Im f(sigma + it) =
-    sum m_j r_j^sigma sin(t ln(1/r_j)) > 0 for 0 < t < pi/ln(1/r_min),
-    which is at least pi/744.4 ~ 4.2e-3 for any double r_min > 0 while
-    b <= 1e-3: no zero lies near the edge the band and the upper half share,
-    even once either is pushed outward by ~1e-6, so no zero is counted
-    twice.  That total is the completeness check: the zeros found must add
-    up to it.  The search then goes one generation at a time: a rectangle
-    holding one zero is refined by Newton from its centre, any other
-    nonempty one is halved across its longer side, and all halves are
-    counted together (see ``_count_generation``).  Every rectangle is
-    searched within the bounds it was counted over, and all counts share
-    one segment cache.
+    The one real zero is Moran's D, as f(x) = 1 - sum m_j r_j^x strictly
+    increases, so the search counts only the upper half (sigma, right, b,
+    T), b = min(1e-3, T/4), and mirrors its zeros.  It misses nothing below
+    b: Im f(x + it) = sum m_j r_j^x sin(t ln(1/r_j)) > 0 for 0 < t <
+    pi/ln(1/r_min), at least pi/744.4 ~ 4.2e-3 for any double r_min > 0,
+    even once the upper half is pushed outward by ~1e-6.  f(conj s) =
+    conj f(s), so the window's total is 1 + 2*upper: the completeness
+    check that the zeros found must add up to.  The search then goes one
+    generation at a time: a rectangle holding one zero is refined by Newton
+    from its centre, any other nonempty one is halved across its longer
+    side, and all halves are counted together (see ``_count_generation``).
+    Every rectangle is searched within the bounds it was counted over, and
+    all counts share one segment cache.
     """
     cache = {}
-    band = min(1e-3, 0.25 * im_window)
     generation = _count_generation(
-        ratios, [(sigma, right, -band, band), (sigma, right, band, im_window)], cache)
-    total = generation[0][0] + 2 * generation[1][0]
+        ratios, [(sigma, right, min(1e-3, 0.25 * im_window), im_window)], cache)
+    total = 1 + 2 * generation[0][0]
 
-    raw = []
+    raw = [(ratios.similarity_dimension.value, 1)]
     while generation:
         halves = []
         for cnt, (re_lo, re_hi, im_lo, im_hi) in generation:
@@ -654,7 +647,7 @@ def _argument_principle_zeros(ratios: RatioList, sigma: float, right: float,
 
 
 def find_complex_dimensions(model: SprayModel, im_window: float, re_floor=None):
-    """The complex-dimension set in [re_floor, D+1/2] x [-T, T].
+    """The complex-dimension set in [re_floor, D+1/2] x [-T, T], re_floor <= D.
 
     Lattice input takes the exact closed-form route; nonlattice input is
     located by the argument principle and refined by Newton.  The result is
@@ -668,21 +661,23 @@ def find_complex_dimensions(model: SprayModel, im_window: float, re_floor=None):
     if re_floor is not None and not math.isfinite(re_floor):
         raise DomainError(f"re_floor must be finite, got {re_floor!r}")
     dim = ratios.similarity_dimension
+    if re_floor is not None and re_floor > dim.value:
+        edge = "D + 1/2" if re_floor >= dim.value + 0.5 else "D"
+        raise DomainError(f"re_floor {re_floor!r} is right of {edge}: the window "
+                          f"would miss the real zero D = {dim.value!r}")
     structure = ratios.lattice
 
     if structure.is_lattice:
         zeros = lattice_zeros(structure, ratios, im_window)
         if re_floor is not None:
-            keep = zeros.omega.real >= re_floor
+            # The real lift is D to 2 ulps, and re_floor <= D: keep it.
+            keep = (zeros.omega.real >= re_floor) | (zeros.omega.imag == 0.0)
             zeros = ZeroSet._of(zeros.omega[keep], zeros.multiplicity[keep],
                                 zeros.residual[keep])
     else:
         sigma = re_floor if re_floor is not None else zero_free_abscissa(ratios)
-        right = dim.value + 0.5
-        if sigma >= right:
-            raise DomainError(f"re_floor {sigma!r} is right of D + 1/2")
         _check_floor(ratios, sigma, im_window)
-        zeros = _argument_principle_zeros(ratios, sigma, right, im_window)
+        zeros = _argument_principle_zeros(ratios, sigma, dim.value + 0.5, im_window)
 
     _check_zero_set(model, zeros, dim.value)
     return zeros

@@ -60,6 +60,11 @@ class RatioList:
                 out.append([r, 1])
         return tuple((r, m) for r, m in out)
 
+    @functools.cached_property
+    def logs(self):
+        """ln r_j of each distinct ratio, aligned with ``distinct``."""
+        return tuple(math.log(r) for r, _ in self.distinct)
+
     def power_sum(self, x: float) -> float:
         """Sum of r_j^x over all ratios with multiplicity."""
         return compensated_total(m * r**x for r, m in self.distinct)
@@ -209,14 +214,18 @@ def validate_spray(model: SprayModel, check_monotonic: bool = True) -> Validatio
 
     if check_monotonic:
         g = gen.inradius
-        pts = np.concatenate([[g / (4.0 * _MONOTONE_SAMPLES)],
-                              g * np.arange(1, _MONOTONE_SAMPLES + 1) / (_MONOTONE_SAMPLES + 1),
-                              [g]])
+        # Also sampled: the real parts of the roots of p''/n^2 (scaled so that
+        # no coefficient overflows), among them every local minimum of p'.
+        roots = np.roots([(n - i) * (n - i - 1) / n**2 * k
+                          for i, k in enumerate(gen.kappa[:-1])]).real
+        grid = g * np.arange(1, _MONOTONE_SAMPLES + 1) / (_MONOTONE_SAMPLES + 1)
+        pts = np.concatenate([[g / (4.0 * _MONOTONE_SAMPLES)], grid, [g],
+                              roots[(roots > 0.0) & (roots < g)]])
         bad = pts[gen.polynomial_derivative_at(pts) < 0.0].tolist()
         if bad:
             failures.append(
                 "tube polynomial is decreasing inside (0, g], first bad "
-                f"sample eps = {bad[0]!r}"
+                f"sample eps = {min(bad)!r}"
             )
 
     # Similarity dimension window n-1 < D < n.

@@ -6,9 +6,9 @@ always exists and bisection plus a Newton polish converges unconditionally.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from .complexdims import dirichlet_poly_deriv
 from .model import RatioList
 
 RESIDUAL_TOL = 1e-13
@@ -21,10 +21,6 @@ class SimilarityDimension:
     value: float
     residual: float
     iterations: int
-
-
-def _dirichlet_derivative(ratios: RatioList, x: float) -> float:
-    return sum(m * r**x * math.log(r) for r, m in ratios.distinct)
 
 
 def similarity_dimension(ratios: RatioList) -> SimilarityDimension:
@@ -58,7 +54,7 @@ def similarity_dimension(ratios: RatioList) -> SimilarityDimension:
     for _ in range(_NEWTON_STEPS):
         if abs(resid) < RESIDUAL_TOL:
             break
-        x -= resid / _dirichlet_derivative(ratios, x)
+        x += float(resid / dirichlet_poly_deriv(ratios, x))
         resid = ratios.power_sum(x) - 1.0
         iterations += 1
 

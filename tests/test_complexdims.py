@@ -2,6 +2,7 @@ import math
 import random
 import time
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -384,6 +385,23 @@ class TestFindComplexDimensions:
         assert len(zeros) == 3
         assert all(w.real >= 0.0 for w in zeros.omega.tolist())
 
+    @pytest.mark.parametrize("ratios", [
+        [1 / 3, 1 / 3], [0.4297, 0.4297**2, 0.4297**3], [0.5, 1 / 3],
+    ])
+    def test_re_floor_right_of_d(self, ratios):
+        # Right of D the window would miss the real zero: the floor is at
+        # fault, not the spray.  At D itself the real zero is kept (the
+        # lattice lift on the second list is D - 1 ulp).
+        model = _interval_model(ratios)
+        d = model.ratios.similarity_dimension.value
+        for re_floor, edge in ((d + 0.25, "right of D:"), (d + 0.5, "right of D + 1/2:")):
+            with pytest.raises(DomainError) as exc:
+                find_complex_dimensions(model, 10.0, re_floor=re_floor)
+            assert edge in str(exc.value) and f"D = {d!r}" in str(exc.value)
+        zeros = find_complex_dimensions(model, 10.0, re_floor=d)
+        (real,) = zeros.omega[zeros.reals].tolist()
+        assert abs(real.real - d) <= 2 * math.ulp(d)
+
     def test_rejects_nonpositive_window(self, cantor):
         with pytest.raises(DomainError):
             find_complex_dimensions(cantor, 0.0)
@@ -408,6 +426,60 @@ class TestFindComplexDimensions:
             for window in (1.01 * cap, 1e300):
                 with pytest.raises(ResourceLimitError, match="zeros"):
                     find_complex_dimensions(model, window)
+
+
+def moran_root(ratios, digits=50):
+    """The real zero of 1 - sum(r_j^x) by Newton in ``digits``-digit decimal
+    arithmetic, each r_j taken exactly, from Moran's D."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        logs = [Decimal(r).ln() for r in ratios]
+        x = Decimal(similarity_dimension(RatioList(ratios)).value)
+        for _ in range(6):
+            terms = [(x * lg).exp() for lg in logs]
+            x -= (1 - sum(terms)) / -sum(t * lg for t, lg in zip(terms, logs))
+        return x
+
+
+class TestRealZero:
+    """The one real zero is Moran's D on both routes."""
+
+    @pytest.mark.parametrize("ratios", [
+        [0.641773, 0.600734, 0.35059],  # 1.64e-12 off when the search refined it
+        [0.45434, 0.417995, 0.307745, 0.237586],  # 1.0e-12 off
+        [0.5536, 0.3378, 0.0757, 0.0667],
+    ])
+    def test_nonlattice_real_zero_is_moran(self, ratios):
+        rl = RatioList(ratios)
+        assert not rl.lattice.is_lattice
+        d = rl.similarity_dimension.value
+        zeros = find_complex_dimensions(_interval_model(ratios), window_for_pairs(rl, 5))
+        assert zeros.omega[zeros.reals].tolist() == [complex(d)]
+        assert abs(Decimal(d) - moran_root(ratios)) <= Decimal("1e-15")
+
+    @pytest.mark.parametrize("ratios", [
+        [1 / 3, 1 / 3], [0.5, 0.25], [0.4297, 0.4297**2, 0.4297**3],
+    ])
+    def test_lattice_real_lift_is_moran_to_two_ulps(self, ratios):
+        rl = RatioList(ratios)
+        d = rl.similarity_dimension.value
+        zeros = lattice_zeros(rl.lattice, rl, 10.0)
+        (real,) = zeros.omega[zeros.reals].tolist()
+        assert real.imag == 0.0 and abs(real.real - d) <= 2 * math.ulp(d)
+
+    def test_no_counted_rectangle_meets_the_real_axis(self, monkeypatch):
+        rects = []
+        original = complexdims.count_zeros_rectangle
+
+        def recorded(ratios, rect, cache=None):
+            rects.append(rect)
+            return original(ratios, rect, cache)
+
+        monkeypatch.setattr(complexdims, "count_zeros_rectangle", recorded)
+        for ratios in ([0.5, 1 / 3], [0.641773, 0.600734, 0.35059], [0.5, 0.25 * (1 + 1e-5)]):
+            model = _interval_model(ratios)
+            find_complex_dimensions(model, window_for_pairs(model.ratios, 10))
+        assert rects and min(im_lo for _, _, im_lo, _ in rects) > 0.0
 
 
 class TestArgumentPrincipleRoute:
@@ -464,8 +536,8 @@ class TestArgumentPrincipleRoute:
 
 class TestRandomNonlatticeLists:
     """Random nonlattice lists, J = 2..4: the search's total multiplicity is
-    the full window's winding count, and the strip above the band that
-    holds no zero is counted empty."""
+    the full window's winding count, and the strip just above the real axis
+    that holds no zero is counted empty."""
 
     @given(st.lists(st.floats(min_value=0.05, max_value=0.9), min_size=2, max_size=4))
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -549,6 +621,12 @@ class TestNodeBudget:
         lattice_zeros(detect_lattice(rl), rl, window_for_pairs(rl, 500))
         assert nodes[0] <= 1_190  # measured 1,132
         assert calls[0] <= 15  # measured 15
+
+    def test_half_third_window_20(self, nodes):
+        # Pinned exactly: each node's f, rounding bound and |f'| bound come
+        # from one evaluation, and the bisection must not move a node.
+        find_complex_dimensions(_interval_model([0.5, 1 / 3]), 20.0)
+        assert nodes[0] == 286
 
     def test_near_lattice_one_pair(self, nodes):
         model = _interval_model([0.5, 0.25 * (1 + 1e-5)])

@@ -147,6 +147,23 @@ class TestValidateSpray:
         assert any("decreasing" in f for f in report.failures)
         assert validate_spray(model, check_monotonic=False).ok
 
+    def test_dip_between_two_samples_fails(self):
+        # p'(eps) = 3 (eps - a)^2 - 1e-7 dips below 0 only within 1.8e-4 of
+        # a, which lies halfway between the samples 513/1025 and 514/1025.
+        a = 513.5 / 1025
+        gen = MonophaseGenerator(3, [1.0, -3 * a, 3 * a * a - 1e-7], 1.0,
+                                 1.0 - 3 * a + 3 * a * a - 1e-7)
+        (message,) = validate_spray(SprayModel(RatioList([0.5] * 7), gen)).failures
+        prefix = "tube polynomial is decreasing inside (0, g], first bad sample eps = "
+        assert message.startswith(prefix)
+        assert float(message[len(prefix):]) == pytest.approx(a, abs=1e-12)
+
+    def test_dip_check_survives_huge_coefficients(self):
+        # 3 * 2 * 1e308 overflows: the roots of p'' come from p''/n^2.
+        gen = MonophaseGenerator(4, [1.0, 1e308, 1.0, 1.0], 0.5, 1.0)
+        report = validate_spray(SprayModel(RatioList([0.5, 0.5]), gen))
+        assert any("continuity" in f for f in report.failures)
+
     @given(st.integers(min_value=1, max_value=4),
            st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=4, max_size=4),
            st.floats(min_value=0.01, max_value=10.0))

@@ -5,14 +5,18 @@
 
 Runs every job of each (workload, seed) batch of ``perfbench/workloads.py``
 in-process through ``tubeforge.cli.main``, from a scratch directory holding
-the batch's configs, with every warning shown, and writes {job: [exit code,
-sha256 of stdout, sha256 of stderr]}, plus the same record of
-``tubeforge selftest`` under the key ``selftest`` and of each fixed
-invocation in ``PRESET_RUNS`` under ``preset <argv>``; a run with ``-o FILE``
-adds the sha256 of FILE, or null if it wrote none.  Two commits print the
-same output exactly when their files are equal.  With ``--against``, the
-keys whose records differ between OLD.json and OUT.json (or are in only one
-of them) are printed and the exit status is 1 if there are any.
+the batch's configs, with every warning shown, and writes {job: record},
+plus the same record of ``tubeforge selftest`` under the key ``selftest``
+and of each fixed invocation in ``PRESET_RUNS`` under ``preset <argv>``.  A
+record holds the exit code and the sha256 of stdout and of stderr, the
+numbers in stdout as written and the sha256 of stdout with each of them
+replaced by ``#`` (its text); a run with ``-o FILE`` adds the sha256 of
+FILE, or null if it wrote none.  Two commits print the same output exactly
+when their files are equal.  With ``--against``, each key whose records
+differ between OLD.json and OUT.json (or that is in only one of them) is
+printed with how many numbers moved and the largest absolute and relative
+move, and ``text`` when anything else changed; the exit status is 1 if any
+key differs.
 """
 
 import argparse
@@ -21,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import warnings
@@ -57,18 +62,25 @@ PRESET_RUNS = (
 )
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(argv) -> list:
+def run(argv) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    record = [code, sha256(out.getvalue().encode()), sha256(err.getvalue().encode())]
+    stdout = out.getvalue()
+    record = {"exit": code, "stdout": sha256(stdout.encode()),
+              "stderr": sha256(err.getvalue().encode()),
+              "text": sha256(NUMBER.sub("#", stdout).encode()),
+              "numbers": NUMBER.findall(stdout)}
     if "-o" in argv:
         written = Path(argv[argv.index("-o") + 1])
-        record.append(sha256(written.read_bytes()) if written.exists() else None)
+        record["file"] = sha256(written.read_bytes()) if written.exists() else None
         written.unlink(missing_ok=True)
     return record
 
@@ -125,6 +137,22 @@ def differing(old: dict, new: dict) -> list:
     return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
 
 
+def moves(old: dict, new: dict) -> str:
+    """How two records of one key differ: the numbers of stdout that moved,
+    the largest absolute and relative move, and ``text`` when anything else
+    changed (exit code, stderr, a written file, or stdout around its
+    numbers)."""
+    if old is None or new is None:
+        return "only in " + ("OUT" if old is None else "OLD")
+    text = any(old.get(field) != new.get(field) for field in ("exit", "stderr", "file", "text"))
+    moved = [(float(a), float(b)) for a, b in zip(old["numbers"], new["numbers"]) if a != b]
+    line = f"{len(moved)} numbers moved"
+    if moved:
+        line += (f", max abs {max(abs(b - a) for a, b in moved):.3g}, max rel "
+                 f"{max(abs(b - a) / (max(abs(a), abs(b)) or 1.0) for a, b in moved):.3g}")
+    return line + (", text" if text else "")
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output")
@@ -136,8 +164,9 @@ if __name__ == "__main__":
     result = digest(args.workloads, args.seeds)
     Path(args.output).write_text(json.dumps(result, indent=1) + "\n")
     if args.against:
-        keys = differing(json.loads(Path(args.against).read_text()), result)
+        old = json.loads(Path(args.against).read_text())
+        keys = differing(old, result)
         for key in keys:
-            print(key)
+            print(f"{key}: {moves(old.get(key), result.get(key))}")
         print(f"{len(keys)} keys differ from {args.against}")
         sys.exit(1 if keys else 0)
