@@ -49,7 +49,6 @@ from .model import (
 )
 from .moran import SimilarityDimension, similarity_dimension
 from .tubeformula import (
-    CompareEntry,
     ResidueExpansion,
     TubeEvaluation,
     compare,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryProximityError",
-    "CompareEntry",
     "ConfigError",
     "ConvergenceError",
     "DirectExpansion",

@@ -30,6 +30,8 @@ from .model import (
     validate_spray,
 )
 from .tubeformula import (
+    ResidueExpansion,
+    check_residue_eps,
     compare,
     inverse_mellin_numeric,
     tube_volume_residues,
@@ -37,9 +39,9 @@ from .tubeformula import (
 )
 
 CSV_HEADER = "# tubeforge-csv v1"
-# The columns of a scan row and the CompareEntry field each prints, in
+# The columns of a scan row and the TubeEvaluation field each prints, in
 # output order; a JSON record adds "error".
-SCAN_COLUMNS = (("epsilon", "eps"), ("direct", "direct"), ("residues", "residues"),
+SCAN_COLUMNS = (("epsilon", "eps"), ("direct", "direct"), ("residues", "residue_value"),
                 ("abs_err", "abs_error"), ("rel_err", "rel_error"),
                 ("pairs_used", "pairs_used"), ("im_leakage", "imag_leakage"))
 CSV_COLUMNS = ",".join(name for name, _ in SCAN_COLUMNS)
@@ -155,9 +157,11 @@ def _cmd_tube(args) -> tuple[int, str]:
         half = args.T if args.T is not None else 200.0
         value = inverse_mellin_numeric(model, args.eps, c=args.c, half_length=half)
         return 0, _named(("invmellin", value))
+    if args.method == "residues":  # the residue sum alone: no direct oracle
+        check_residue_eps(model.generator, args.eps)
+        expansion = ResidueExpansion.build(model, args.pairs, _window(args, model))
+        return 0, _named(("residues", expansion.evaluate(args.eps).residue_value))
     ev = tube_volume_residues(model, args.eps, args.pairs, _window(args, model))
-    if args.method == "residues":
-        return 0, _named(("residues", ev.residue_value))
     return 0, _named(("direct", ev.direct), ("residues", ev.residue_value),
                      ("abs_err", ev.abs_error), ("rel_err", ev.rel_error))
 
@@ -239,30 +243,24 @@ def acceptance_checks():
         return worst < 1e-12, f"worst relative deviation {worst:.3e}"
 
     def residue_agreement_cantor():
-        window = window_for_pairs(cantor.ratios, 500)
-        zeros = find_complex_dimensions(cantor, window)
         g = cantor.generator.inradius
         refs = {0.1: 13.0 / 15.0, 1.0 / 18.0: 7.0 / 9.0}
         ok = True
         details = []
-        for eps in (g / 2.0, g / 4.0, g / 8.0, 0.1, 1.0 / 18.0):
-            ev = tube_volume_residues(cantor, eps, 500, window, zeros=zeros)
-            if eps in refs:
-                ok = ok and abs(ev.direct - refs[eps]) < 1e-12
+        for ev in compare(cantor, (g / 2.0, g / 4.0, g / 8.0, 0.1, 1.0 / 18.0), 500,
+                          window_for_pairs(cantor.ratios, 500)):
+            if ev.eps in refs:
+                ok = ok and abs(ev.direct - refs[ev.eps]) < 1e-12
             err_500 = abs(ev.partial_sums[500] - ev.direct)
             err_5 = abs(ev.partial_sums[5] - ev.direct)
             ok = ok and err_500 < 1e-3 and ev.imag_leakage < 1e-10 and err_500 < err_5
-            details.append(f"eps={eps:.4g}: err {err_500:.2e} (K=5: {err_5:.2e})")
+            details.append(f"eps={ev.eps:.4g}: err {err_500:.2e} (K=5: {err_5:.2e})")
         return ok, "; ".join(details)
 
     def residue_agreement_square():
-        window = window_for_pairs(square.ratios, 200)
-        zeros = find_complex_dimensions(square, window)
         g = square.generator.inradius
-        worst = 0.0
-        for eps in (g / 2.0, g / 8.0):
-            ev = tube_volume_residues(square, eps, 200, window, zeros=zeros)
-            worst = max(worst, ev.rel_error)
+        entries = compare(square, (g / 2.0, g / 8.0), 200, window_for_pairs(square.ratios, 200))
+        worst = max(ev.rel_error for ev in entries)
         return worst < 1e-2, f"worst relative error {worst:.3e} with K=200"
 
     def inversion_cross_check():

@@ -395,15 +395,11 @@ def _bounds(s, logs, mults):
 
 
 def _evaluate(ratios: RatioList, s, logs, mults):
-    """f, E and M at the nodes s (see ``_bounds``); raises where |f| <= 2E."""
+    """f, E and M at the nodes s (see ``_bounds``), with f NaN where
+    |f| <= 2E: a node where f vanishes to rounding certifies nothing."""
     f = dirichlet_poly(ratios, s)
     err, slope = _bounds(s, logs, mults)
-    if np.any(np.abs(f) <= 2.0 * err):
-        raise BoundaryProximityError(
-            f"f vanishes to rounding at a contour node near "
-            f"{complex(s[np.argmin(np.abs(f) / err)])!r}"
-        )
-    return f, err, slope
+    return np.where(np.abs(f) <= 2.0 * err, np.nan, f), err, slope
 
 
 def _bisect(ratios: RatioList, segments, cache) -> None:
@@ -416,12 +412,14 @@ def _bisect(ratios: RatioList, segments, cache) -> None:
     of the piece (the end with the smaller Re), bounds |f'| on the piece and
     E bounds the rounding error of the computed f: then f stays in a disc
     that excludes 0, so arg(f(v)/f(u)) is the exact change along the piece.
-    Every piece and every bisected segment is cached by its exact
-    endpoints in both orientations, the change along (v, u) being minus
-    that along (u, v), so an edge shared by two rectangles is one cache
-    read from either side.  A bisection cuts at 0.5*(u + v), the cut the
-    zero search makes when it splits a rectangle, so a half of a counted
-    edge is a cache hit.
+    A piece that cannot be certified, as |f| <= 2E at one of its ends or it
+    shrank below ``_MIN_PIECE`` relative, is given the arg change NaN, and
+    so is every segment that holds it.  Every piece and every bisected
+    segment is cached by its exact endpoints in both orientations, the
+    change along (v, u) being minus that along (u, v), so an edge shared by
+    two rectangles is one cache read from either side.  A bisection cuts at
+    0.5*(u + v), the cut the zero search makes when it splits a rectangle,
+    so a half of a counted edge is a cache hit.
     """
     logs, mults = _arrays(ratios)
     ends = np.array(list(dict.fromkeys(p for seg in segments for p in seg)))
@@ -435,19 +433,18 @@ def _bisect(ratios: RatioList, segments, cache) -> None:
         (u, fu, eu, mu), (v, fv, ev, mv) = left, right
         length = np.abs(v - u)
         slope = np.where(u.real <= v.real, mu, mv)
+        # done is False at a NaN end, where |f| <= 2E: such a piece fails.
         done = slope * length + np.maximum(eu, ev) < 0.5 * np.maximum(np.abs(fu), np.abs(fv))
+        failed = ~done & (np.isnan(fu) | np.isnan(fv)
+                          | (length < _MIN_PIECE * np.maximum(1.0, np.abs(u))))
         for a, b, delta in zip(u[done].tolist(), v[done].tolist(),
                                np.angle(fv[done] / fu[done]).tolist()):
             cache[(a, b)], cache[(b, a)] = delta, -delta
-        open_ = ~done
+        for a, b in zip(u[failed].tolist(), v[failed].tolist()):
+            cache[(a, b)] = cache[(b, a)] = math.nan
+        open_ = ~(done | failed)
         left, right = [x[open_] for x in left], [x[open_] for x in right]
         u, v = left[0], right[0]
-        short = length[open_] < _MIN_PIECE * np.maximum(1.0, np.abs(u))
-        if np.any(short):
-            raise BoundaryProximityError(
-                f"contour piece at {complex(u[short][0])!r} shrank below "
-                f"{_MIN_PIECE:g} relative without excluding a zero"
-            )
         m = 0.5 * (u + v)
         mid = (m, *_evaluate(ratios, m, logs, mults))
         splits.extend(zip(u.tolist(), m.tolist(), v.tolist()))
@@ -487,7 +484,7 @@ def count_zeros_rectangle(ratios: RatioList, rect, cache=None) -> int:
     construction.  ``cache`` maps directed segments to arg changes and may
     be shared by counts over rectangles with common edges; edges it lacks
     are certified and added.  Raises BoundaryProximityError when a zero
-    sits numerically on the boundary.
+    sits numerically on the boundary, so that an edge's arg change is NaN.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_hi > re_lo and im_hi > im_lo):
@@ -495,7 +492,11 @@ def count_zeros_rectangle(ratios: RatioList, rect, cache=None) -> int:
     cache = {} if cache is None else cache
     edges = _edges(rect)
     _certify(ratios, edges, cache)
-    return round(sum(cache[edge] for edge in edges) / (2.0 * math.pi))
+    total = sum(cache[edge] for edge in edges)
+    if math.isnan(total):
+        raise BoundaryProximityError(f"a zero lies on the boundary of {rect!r} to "
+                                     "rounding: an arg change is not certified")
+    return round(total / (2.0 * math.pi))
 
 
 def _perturb(rect, attempt):
@@ -566,14 +567,10 @@ def _count_generation(ratios: RatioList, rects, cache):
 
     The uncached edges of every rectangle are certified in one ``_bisect``
     call, a cut shared by two halves once; each count then reads the cache.
-    If certification raises BoundaryProximityError, the counts certify what
-    the batch left out, rectangle by rectangle, and push a rectangle outward
-    when a zero sits on its boundary (see ``_count_with_retries``).
+    A rectangle with a zero on its boundary, an edge whose arg change is
+    NaN, is pushed outward and counted again (see ``_count_with_retries``).
     """
-    try:
-        _certify(ratios, [edge for rect in rects for edge in _edges(rect)], cache)
-    except BoundaryProximityError:
-        pass
+    _certify(ratios, [edge for rect in rects for edge in _edges(rect)], cache)
     return [_count_with_retries(ratios, rect, cache) for rect in rects]
 
 
@@ -583,9 +580,10 @@ def _argument_principle_zeros(ratios: RatioList, sigma: float, right: float,
     counts and bisection.
 
     The one real zero is Moran's D, as f(x) = 1 - sum m_j r_j^x strictly
-    increases, so the search counts only the upper half (sigma, right, b,
-    T), b = min(1e-3, T/4), and mirrors its zeros.  It misses nothing below
-    b: Im f(x + it) = sum m_j r_j^x sin(t ln(1/r_j)) > 0 for 0 < t <
+    increases, so the search counts only the upper half (sigma, right,
+    1e-3, T) and mirrors its zeros.  Nothing lies below 1e-3, and a window
+    with T < pi/ln(1/r_min) holds D alone and is not counted at all:
+    Im f(x + it) = sum m_j r_j^x sin(t ln(1/r_j)) > 0 for 0 < t <
     pi/ln(1/r_min), at least pi/744.4 ~ 4.2e-3 for any double r_min > 0,
     even once the upper half is pushed outward by ~1e-6.  f(conj s) =
     conj f(s), so the window's total is 1 + 2*upper: the completeness
@@ -597,9 +595,10 @@ def _argument_principle_zeros(ratios: RatioList, sigma: float, right: float,
     all counts share one segment cache.
     """
     cache = {}
-    generation = _count_generation(
-        ratios, [(sigma, right, min(1e-3, 0.25 * im_window), im_window)], cache)
-    total = 1 + 2 * generation[0][0]
+    generation = []
+    if im_window >= math.pi / -ratios.logs[-1]:
+        generation = _count_generation(ratios, [(sigma, right, 1e-3, im_window)], cache)
+    total = 1 + 2 * sum(cnt for cnt, _ in generation)
 
     raw = [(ratios.similarity_dimension.value, 1)]
     while generation:

@@ -118,9 +118,9 @@ def factor_multiplicities(ratios: RatioList, threshold: float) -> FactorSet:
 class DirectExpansion:
     """The direct oracle for every eps >= ``eps``, from one enumeration.
 
-    ``weight`` is mult lam^n per exponent vector and ``tail_weight[v, j]``
-    is Vol(G)/(1 - sum m r^n) weight[v] m_j r_j^n, the tail volume behind
-    the boundary word v + e_j.  Arrays are read-only.
+    ``weight`` is mult lam^n per exponent vector and ``child_power[j]`` is
+    m_j r_j^n, so the tail volume behind the boundary word v + e_j is
+    ``total * weight[v] * child_power[j]``.  Arrays are read-only.
     """
 
     model: SprayModel
@@ -129,7 +129,7 @@ class DirectExpansion:
     lam: np.ndarray
     weight: np.ndarray
     child_lam: np.ndarray
-    tail_weight: np.ndarray
+    child_power: np.ndarray
 
     @classmethod
     def build(cls, model: SprayModel, eps: float) -> "DirectExpansion":
@@ -142,10 +142,9 @@ class DirectExpansion:
         factors = factor_multiplicities(model.ratios, eps / gen.inradius)
         weight = factors.mult * factors.lam**n
         child_power = np.array([m * r**n for r, m in model.ratios.distinct])
-        tail_weight = total * weight[:, None] * child_power
-        for a in (weight, tail_weight):
+        for a in (weight, child_power):
             a.flags.writeable = False
-        return cls(model, eps, total, factors.lam, weight, factors.child_lam, tail_weight)
+        return cls(model, eps, total, factors.lam, weight, factors.child_lam, child_power)
 
     def evaluate(self, eps: float) -> float:
         """Inner tube volume at one eps >= the build eps, exact up to rounding.
@@ -165,8 +164,9 @@ class DirectExpansion:
         head = self.lam > threshold
         x = eps / self.lam[head]
         tube = np.where(x >= gen.inradius, gen.volume, gen.polynomial_at(x))
-        boundary = head[:, None] & (self.child_lam <= threshold)
-        terms = np.concatenate((self.weight[head] * tube, self.tail_weight[boundary]))
+        rows, cols = np.nonzero(head[:, None] & (self.child_lam <= threshold))
+        tail = self.total * self.weight[rows] * self.child_power[cols]
+        terms = np.concatenate((self.weight[head] * tube, tail))
         return fsum_array(terms)
 
 

@@ -48,30 +48,20 @@ _INVMELLIN_ATOL = 1e-9
 _INVMELLIN_RTOL = 1e-8
 _INVMELLIN_DOUBLINGS = 12
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TubeEvaluation:
-    """Direct value vs residue partial sums at one eps."""
+    """Direct value vs residue partial sums at one eps.  The errors are NaN
+    without a direct value; an eps the residue sum does not cover has NaN
+    residue fields and its reason in ``error``."""
 
     eps: float
     direct: float
-    partial_sums: tuple  # real partial sums, index = conjugate pairs included
     residue_value: float
     abs_error: float
     rel_error: float
     pairs_used: int
-    im_window: float
     imag_leakage: float
-
-
-@dataclass(frozen=True)
-class CompareEntry:
-    eps: float
-    direct: float
-    residues: float
-    abs_error: float
-    rel_error: float
-    pairs_used: int
-    imag_leakage: float
+    partial_sums: np.ndarray = ()  # read-only; index = conjugate pairs included
     error: str = ""
 
 
@@ -183,7 +173,8 @@ def window_for_pairs(ratios, pairs: int) -> float:
     return window
 
 
-def _check_residue_eps(gen: MonophaseGenerator, eps: float) -> None:
+def check_residue_eps(gen: MonophaseGenerator, eps: float) -> None:
+    """Raise DomainError unless 0 < eps < g, where the residue sum holds."""
     if not (eps > 0.0):
         raise DomainError(f"tube volume needs eps > 0, got {eps!r}")
     if eps >= gen.inradius:
@@ -209,7 +200,6 @@ class ResidueExpansion:
 
     model: SprayModel
     pairs: int
-    im_window: float
     zeros: ZeroSet
     omegas: np.ndarray
     coeffs: np.ndarray
@@ -236,18 +226,15 @@ class ResidueExpansion:
         return cls(
             model=model,
             pairs=pairs,
-            im_window=im_window,
             zeros=zeros,
             omegas=omegas,
             coeffs=_laurent_coefficients(model, omegas, zeros.multiplicity[kept]),
         )
 
-    def evaluate(self, eps: float, direct=None) -> TubeEvaluation:
-        """Partial sums at one eps < g, compared against the direct oracle.
-
-        ``direct`` is the direct tube volume at eps when the caller has it.
-        """
-        _check_residue_eps(self.model.generator, eps)
+    def evaluate(self, eps: float, direct: float = math.nan) -> TubeEvaluation:
+        """Partial sums at one eps < g, compared against ``direct``, the
+        direct tube volume at eps when the caller has it."""
+        check_residue_eps(self.model.generator, eps)
         n = self.model.generator.dimension
         residues = _residues(n, self.omegas, self.coeffs, math.log(eps))
         poles = [integer_pole_residue(self.model, i, eps) for i in range(n)]
@@ -259,21 +246,19 @@ class ResidueExpansion:
         terms = np.concatenate((poles, residues[:real_count],
                                 np.column_stack((upper, upper.conj())).ravel()))
         partials = compensated_cumsum(terms)[n + real_count - 1::2]
-        sums = tuple(partials.real.tolist())
-        if direct is None:
-            direct = direct_tube_volume(self.model, eps)
-        value = sums[-1]
+        sums = partials.real.copy()
+        sums.flags.writeable = False
+        value = float(sums[-1])
         abs_err = abs(value - direct)
         return TubeEvaluation(
             eps=eps,
             direct=direct,
-            partial_sums=sums,
             residue_value=value,
             abs_error=abs_err,
             rel_error=abs_err / abs(direct) if direct != 0.0 else math.inf,
             pairs_used=self.pairs,
-            im_window=self.im_window,
             imag_leakage=float(np.max(np.abs(partials.imag))),
+            partial_sums=sums,
         )
 
 
@@ -285,8 +270,9 @@ def tube_volume_residues(model: SprayModel, eps: float, pairs: int,
     lowest conjugate pairs (each pair summed together so partial sums stay
     real).  Stated only for eps < g.
     """
-    _check_residue_eps(model.generator, eps)
-    return ResidueExpansion.build(model, pairs, im_window, zeros).evaluate(eps)
+    check_residue_eps(model.generator, eps)
+    expansion = ResidueExpansion.build(model, pairs, im_window, zeros)
+    return expansion.evaluate(eps, direct_tube_volume(model, eps))
 
 
 def inverse_mellin_numeric(model: SprayModel, eps: float, c=None,
@@ -357,12 +343,10 @@ def compare(model: SprayModel, eps_grid, pairs: int, im_window: float):
     def one(eps):
         direct = direct_expansion.evaluate(eps)
         try:
-            _check_residue_eps(model.generator, eps)
-            ev = expansion.evaluate(eps, direct)
+            check_residue_eps(model.generator, eps)
         except DomainError as exc:
-            return CompareEntry(eps, direct, math.nan, math.nan, math.nan,
-                                0, math.nan, error=str(exc))
-        return CompareEntry(eps, ev.direct, ev.residue_value, ev.abs_error,
-                            ev.rel_error, ev.pairs_used, ev.imag_leakage)
+            return TubeEvaluation(eps, direct, math.nan, math.nan, math.nan,
+                                  0, math.nan, error=str(exc))
+        return expansion.evaluate(eps, direct)
 
     return map_ordered(one, eps_list)

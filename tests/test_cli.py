@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from tubeforge import cli, tubeformula
+from tubeforge import cli, direct, tubeformula
 from tubeforge.cli import main
 from tubeforge.errors import ConvergenceError
 from tubeforge.model import spray_from_dict
@@ -242,6 +242,18 @@ class TestTube:
                            "--method", "residues", "--pairs", "5", "--T", "20")
         assert code == 2
         assert "5 conjugate pairs requested but only 3" in err
+
+    def test_residues_runs_no_direct_oracle(self, capsys, monkeypatch, cantor_config):
+        model = spray_from_dict(CANTOR_CONFIG)
+        want = tube_volume_residues(model, 0.1, 5, 30.0).residue_value
+
+        def refused(*_):
+            raise AssertionError("tube --method residues enumerated exponent vectors")
+
+        monkeypatch.setattr(direct, "factor_multiplicities", refused)
+        code, out, err = run(capsys, "tube", cantor_config, "--eps", "0.1",
+                             "--method", "residues", "--pairs", "5", "--T", "30")
+        assert (code, out, err) == (0, f"residues {want:.17g}\n", "")
 
     def test_invmellin_half_length_and_abscissa(self, capsys, cantor_config):
         model = spray_from_dict(CANTOR_CONFIG)

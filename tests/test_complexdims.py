@@ -291,18 +291,38 @@ class TestCountZerosRectangle:
         assert counts == [count_zeros_rectangle(rl, rect) for rect in rects]
         assert counts[0] == counts[1] + counts[2] > 0
 
-    def test_a_zero_on_one_boundary_pushes_only_that_rectangle(self):
-        # The batch certification of the generation fails at the node D + 0i;
-        # each rectangle is then counted on its own.
+    def test_a_zero_on_one_boundary_pushes_only_that_rectangle(self, monkeypatch):
+        # The batch certification of the generation caches NaN for the pieces
+        # that end at the node D + 0i; the clear rectangle is counted from
+        # the batch, and only the touching one is pushed outward and
+        # certified again.  The shared left edge is certified once, and no
+        # arg change is taken of a piece that cannot be certified.
         rl = RatioList([1 / 3, 1 / 3])
         clear, touching = (-1.0, 0.5, -1.0, 1.0), (-1.0, CANTOR_D, -1.0, 1.0)
         with pytest.raises(BoundaryProximityError):
             count_zeros_rectangle(rl, touching)
-        (n_clear, counted_clear), (n_touching, counted_touching) = (
-            complexdims._count_generation(rl, [clear, touching], {}))
+        segments, nodes = [], [0]
+        bisect, poly = complexdims._bisect, complexdims.dirichlet_poly
+
+        def recorded_bisect(ratios, segs, cache):
+            segments.append(len(segs))
+            return bisect(ratios, segs, cache)
+
+        def counted_poly(ratios, s):
+            nodes[0] += np.size(s)
+            return poly(ratios, s)
+
+        monkeypatch.setattr(complexdims, "_bisect", recorded_bisect)
+        monkeypatch.setattr(complexdims, "dirichlet_poly", counted_poly)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (n_clear, counted_clear), (n_touching, counted_touching) = (
+                complexdims._count_generation(rl, [clear, touching], {}))
         assert (n_clear, counted_clear) == (0, clear)
         assert n_touching == 1 and counted_touching[1] > CANTOR_D
         assert counted_touching == complexdims._perturb(touching, 1)
+        assert segments == [7, 4]
+        assert nodes[0] == 119
 
 
 class TestRefineZero:
@@ -401,6 +421,15 @@ class TestFindComplexDimensions:
         zeros = find_complex_dimensions(model, 10.0, re_floor=d)
         (real,) = zeros.omega[zeros.reals].tolist()
         assert abs(real.real - d) <= 2 * math.ulp(d)
+
+    @pytest.mark.parametrize("window", [1e-300, 1e-13, 1e-3, 0.99 * math.pi / math.log(4)])
+    def test_window_below_the_zero_free_strip_holds_d_alone(self, square, window):
+        # Im f > 0 for 0 < t < pi/ln(1/r_min), r_min = 1/4: the window is not
+        # counted, so a rectangle too thin to certify is never pushed across
+        # the real axis.
+        zeros = find_complex_dimensions(square, window)
+        assert zeros.omega.tolist() == [complex(square.ratios.similarity_dimension.value)]
+        assert zeros.multiplicity.tolist() == [1]
 
     def test_rejects_nonpositive_window(self, cantor):
         with pytest.raises(DomainError):

@@ -453,5 +453,5 @@ class TestCompare:
         entries = compare(cantor, [g / 2, 2 * g], 20, window)
         assert entries[0].error == "" and entries[0].rel_error < 1e-2
         assert entries[1].error != ""
-        assert math.isnan(entries[1].residues)
+        assert math.isnan(entries[1].residue_value)
         assert entries[1].direct == pytest.approx(1.0, rel=1e-12)

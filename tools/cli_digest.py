@@ -59,6 +59,8 @@ PRESET_RUNS = (
     ["czeros", "triple.json", "--T", "20"],
     ["tube", "triple.json", "--eps", "0.05", "--method", "both", "--pairs", "20"],
     ["scan", "triple.json", "--grid", "0.01:0.2:5:log", "--pairs", "20"],
+    ["czeros", "square.json", "--T", "1e-13"],
+    ["tube", "square.json", "--eps", "1e-100", "--method", "residues", "--pairs", "20"],
 )
 
 
