@@ -35,11 +35,9 @@ def similarity_dimension(ratios: RatioList) -> SimilarityDimension:
     iterations = 0
     lo = 0.0
     hi = 1.0
-    while ratios.power_sum(hi) >= 1.0:
+    while ratios.power_sum(hi) >= 1.0:  # ends: sum(r_j^x) -> 0 as x grows
         hi *= 2.0
         iterations += 1
-        if hi > 1e6:  # unreachable for valid ratios; defensive stop
-            raise AssertionError("bracket expansion ran away")
 
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)

@@ -42,8 +42,8 @@ def compensated_cumsum(x: np.ndarray) -> np.ndarray:
     """Every prefix sum of x, each equal to a ``CompensatedSum`` over it.
 
     The running sum's rounding error at each step is recovered exactly
-    (Knuth's TwoSum, componentwise for complex x) and the errors are summed
-    back in, as the Neumaier correction does.
+    (Knuth's TwoSum) and the errors are summed back in, as the Neumaier
+    correction does.
     """
     total = np.cumsum(x)
     before, after = total[:-1], total[1:]

@@ -4,16 +4,16 @@ The normalized tube function has the transform N(s) / (1 - sum r_j^s)
 with N(s) = sum(kappa_i g^(s-i) / (s-i), i = 0..n), kappa_n = -Vol(G).
 For eps < g the tube volume is the sum of residues of
 eps^(n-s) N(s) / (1 - sum r_j^s) over the integer poles 0..n-1 and the
-complex dimensions.  At a zero omega of multiplicity m the residue is
-eps^(n-omega) times a polynomial of degree m - 1 in ln eps whose
-coefficients come from the Taylor coefficients of N and f at omega; at a
-simple zero it is eps^(n-omega) N(omega)/f'(omega).  A
-``ResidueExpansion`` computes every coefficient once per (model,
-``ZeroSet``, pairs) in one array pass per multiplicity.  The residue at
+complex dimensions.  At the pole i the residue is eps^(n-i) kappa_i/f(i);
+at a zero omega of multiplicity m it is eps^(n-omega) times a polynomial
+of degree m - 1 in ln eps whose coefficients come from the Taylor
+coefficients of N and f at omega.  A ``ResidueExpansion`` computes every
+coefficient once per (model, ``ZeroSet``, pairs).  The residue at
 conj(omega) is the conjugate of the one at omega, so the expansion holds
-the real zeros and the upper half only, and each eps costs one
-exponential per real zero or conjugate pair.  Truncation is by conjugate
-pairs ordered by |Im|, so every partial sum is real up to rounding.
+the poles, the real zeros and the upper half only, and each eps costs one
+power of eps per row.  Truncation is by conjugate pairs ordered by |Im|,
+and a pair sums to twice the real part of one residue, so every partial
+sum is a real sum.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexdims import (
-    ZeroSet,
     dirichlet_poly,
     dirichlet_poly_deriv,
     find_complex_dimensions,
@@ -52,7 +51,8 @@ _INVMELLIN_DOUBLINGS = 12
 class TubeEvaluation:
     """Direct value vs residue partial sums at one eps.  The errors are NaN
     without a direct value; an eps the residue sum does not cover has NaN
-    residue fields and its reason in ``error``."""
+    residue fields and its reason in ``error``.  ``imag_leakage`` is 0.0: a
+    pair enters as w + conj(w), so only real parts are summed."""
 
     eps: float
     direct: float
@@ -95,20 +95,6 @@ def mellin_numerator(gen: MonophaseGenerator, s, order: int = 0):
     return acc
 
 
-def integer_pole_residue(model: SprayModel, i: int, eps: float) -> float:
-    """Residue of eps^(n-s) N(s)/(1 - sum r_j^s) at the integer pole s = i."""
-    n = model.generator.dimension
-    if not 0 <= i <= n - 1:
-        raise DomainError(f"integer pole index must lie in 0..{n - 1}, got {i}")
-    if not (eps > 0.0):
-        raise DomainError(f"residue needs eps > 0, got {eps!r}")
-    k = model.generator.kappa_extended(i)
-    if k == 0.0:
-        return 0.0
-    denom = 1.0 - model.ratios.power_sum(float(i))
-    return eps ** (n - i) * k / denom
-
-
 def _laurent_coefficients(model: SprayModel, omegas, multiplicities):
     """C, of shape (zeros, max multiplicity): the residue at omega[i] is
     eps^(n-omega[i]) sum(C[i, j] ln(eps)^j).
@@ -132,16 +118,38 @@ def _laurent_coefficients(model: SprayModel, omegas, multiplicities):
             q.append((b[k] - sum(a[i] * q[k - i] for i in range(1, k + 1))) / a[0])
         for j in range(m):
             coeffs[at, j] = q[m - 1 - j] * ((-1) ** j / math.factorial(j))
-    coeffs.flags.writeable = False
     return coeffs
 
 
-def _residues(n: int, omegas, coeffs, log_eps: float):
-    """eps^(n-omega) sum(C[:, j] ln(eps)^j), by Horner in ln eps."""
+def _pole_coefficients(model: SprayModel, width: int):
+    """Rows kappa_i/f(i), 0, ... for the integer poles i = 0..n-1; f(i) is
+    summed compensated, as D may lie next to a pole and cancel most of it."""
+    coeffs = np.zeros((model.generator.dimension, width), dtype=complex)
+    coeffs[:, 0] = [k / (1.0 - model.ratios.power_sum(float(i))) if k else 0.0
+                    for i, k in enumerate(model.generator.kappa)]
+    return coeffs
+
+
+def _residues(n: int, omegas, coeffs, eps: float):
+    """eps^(n-omega) sum(C[:, j] ln(eps)^j), by Horner in ln eps.  np.power
+    gives eps^k to a few ulps; exp(k ln eps) loses up to k |ln eps|."""
+    log_eps = math.log(eps)
     poly = coeffs[:, -1]
     for j in reversed(range(coeffs.shape[1] - 1)):
         poly = poly * log_eps + coeffs[:, j]
-    return np.exp((n - omegas) * log_eps) * poly
+    return np.power(eps, n - omegas) * poly
+
+
+def integer_pole_residue(model: SprayModel, i: int, eps: float) -> float:
+    """Residue of eps^(n-s) N(s)/(1 - sum r_j^s) at the integer pole s = i:
+    the one-pole case of ``ResidueExpansion``."""
+    n = model.generator.dimension
+    if not 0 <= i <= n - 1:
+        raise DomainError(f"integer pole index must lie in 0..{n - 1}, got {i}")
+    if not (eps > 0.0):
+        raise DomainError(f"residue needs eps > 0, got {eps!r}")
+    coeffs = _pole_coefficients(model, 1)[i:i + 1]
+    return float(_residues(n, np.array([i], dtype=complex), coeffs, eps)[0].real)
 
 
 def zero_residue(model: SprayModel, omega: complex, multiplicity: int,
@@ -154,7 +162,7 @@ def zero_residue(model: SprayModel, omega: complex, multiplicity: int,
         raise DomainError(f"zero multiplicity must be >= 1, got {multiplicity!r}")
     omegas = np.array([omega], dtype=complex)
     coeffs = _laurent_coefficients(model, omegas, np.array([multiplicity]))
-    return complex(_residues(model.generator.dimension, omegas, coeffs, math.log(eps))[0])
+    return complex(_residues(model.generator.dimension, omegas, coeffs, eps)[0])
 
 
 def window_for_pairs(ratios, pairs: int) -> float:
@@ -188,19 +196,19 @@ def check_residue_eps(gen: MonophaseGenerator, eps: float) -> None:
 class ResidueExpansion:
     """The eps-independent part of the truncated residue sum.
 
-    ``omegas`` holds the kept zeros of ``zeros`` once per conjugate pair:
-    the real zeros, then the ``pairs`` lowest upper-half zeros.  The
-    residue at conj(omega) is the conjugate of the residue at omega, as the
-    integrand is real on the real axis, so the lower half is never
-    evaluated.  ``coeffs`` has one row per kept zero and one column per
-    power of ln eps up to the largest multiplicity less one: the residue at
-    omegas[i] is eps^(n-omegas[i]) sum(coeffs[i, j] ln(eps)^j), and at a
-    simple zero coeffs[i] is N(omega)/f'(omega) followed by zeros.
+    ``omegas`` holds the summed poles of the integrand once per conjugate
+    pair: the integer poles 0..n-1, the real zeros of a ``ZeroSet``, then
+    its ``pairs`` lowest upper-half zeros.  The residue at conj(omega) is
+    the conjugate of the residue at omega, as the integrand is real on the
+    real axis, so the lower half is never evaluated.  ``coeffs`` has one
+    row per point and one column per power of ln eps up to the largest
+    multiplicity less one: the residue at omegas[i] is
+    eps^(n-omegas[i]) sum(coeffs[i, j] ln(eps)^j).  The rows of the pole i
+    and of a simple zero are kappa_i/f(i) and N(omega)/f'(omega), then 0s.
     """
 
     model: SprayModel
     pairs: int
-    zeros: ZeroSet
     omegas: np.ndarray
     coeffs: np.ndarray
 
@@ -222,31 +230,23 @@ class ResidueExpansion:
                 f"inside the window |Im| <= {im_window}"
             )
         kept = slice(zeros.reals.start, zeros.upper.start + pairs)
-        omegas = zeros.omega[kept]
-        return cls(
-            model=model,
-            pairs=pairs,
-            zeros=zeros,
-            omegas=omegas,
-            coeffs=_laurent_coefficients(model, omegas, zeros.multiplicity[kept]),
-        )
+        at_zeros = _laurent_coefficients(model, zeros.omega[kept], zeros.multiplicity[kept])
+        coeffs = np.concatenate((_pole_coefficients(model, at_zeros.shape[1]), at_zeros))
+        omegas = np.concatenate((np.arange(model.generator.dimension, dtype=complex),
+                                 zeros.omega[kept]))
+        coeffs.flags.writeable = omegas.flags.writeable = False
+        return cls(model=model, pairs=pairs, omegas=omegas, coeffs=coeffs)
 
     def evaluate(self, eps: float, direct: float = math.nan) -> TubeEvaluation:
         """Partial sums at one eps < g, compared against ``direct``, the
         direct tube volume at eps when the caller has it."""
         check_residue_eps(self.model.generator, eps)
-        n = self.model.generator.dimension
-        residues = _residues(n, self.omegas, self.coeffs, math.log(eps))
-        poles = [integer_pole_residue(self.model, i, eps) for i in range(n)]
-        # Each upper-half residue is followed by its conjugate, the residue
-        # at the conjugate zero.  Partial sums: after the poles and real
-        # zeros, then after each pair.
-        real_count = len(self.omegas) - self.pairs
-        upper = residues[real_count:]
-        terms = np.concatenate((poles, residues[:real_count],
-                                np.column_stack((upper, upper.conj())).ravel()))
-        partials = compensated_cumsum(terms)[n + real_count - 1::2]
-        sums = partials.real.copy()
+        terms = _residues(self.model.generator.dimension, self.omegas, self.coeffs, eps).real
+        # An upper-half residue's real part enters twice, once for its conjugate.
+        # Partial sums: after the poles and real zeros, then after each pair.
+        head = len(terms) - self.pairs
+        terms = np.concatenate((terms[:head], np.repeat(terms[head:], 2)))
+        sums = compensated_cumsum(terms)[head - 1::2].copy()
         sums.flags.writeable = False
         value = float(sums[-1])
         abs_err = abs(value - direct)
@@ -257,7 +257,7 @@ class ResidueExpansion:
             abs_error=abs_err,
             rel_error=abs_err / abs(direct) if direct != 0.0 else math.inf,
             pairs_used=self.pairs,
-            imag_leakage=float(np.max(np.abs(partials.imag))),
+            imag_leakage=0.0,
             partial_sums=sums,
         )
 
@@ -266,9 +266,8 @@ def tube_volume_residues(model: SprayModel, eps: float, pairs: int,
                          im_window: float, zeros=None) -> TubeEvaluation:
     """Truncated residue-sum tube formula, compared against the direct oracle.
 
-    Sums the integer-pole residues, the real zero(s), and the ``pairs``
-    lowest conjugate pairs (each pair summed together so partial sums stay
-    real).  Stated only for eps < g.
+    Sums the residues at the integer poles, the real zeros and the ``pairs``
+    lowest conjugate pairs, each pair at once.  Stated only for eps < g.
     """
     check_residue_eps(model.generator, eps)
     expansion = ResidueExpansion.build(model, pairs, im_window, zeros)
@@ -280,12 +279,12 @@ def inverse_mellin_numeric(model: SprayModel, eps: float, c=None,
     """Truncated inverse Mellin transform along Re s = c.
 
     Independent of the residue machinery: a plain Bromwich-type trapezoid
-    over [c - iT, c + iT], T finite.  Valid for every eps > 0; the abscissa
-    must lie strictly inside the strip (D, n).  Default c is the strip
-    midpoint.  Raises ConvergenceError when the doubled trapezoids never agree.
+    over [c - iT, c + iT], T finite.  Valid for every 0 < eps < inf; the
+    abscissa must lie strictly inside the strip (D, n).  Default c is the
+    strip midpoint.  Raises ConvergenceError when the doubled trapezoids never agree.
     """
-    if not (eps > 0.0):
-        raise DomainError(f"inversion needs eps > 0, got {eps!r}")
+    if not (0.0 < eps < math.inf):
+        raise DomainError(f"inversion needs 0 < eps < inf, got {eps!r}")
     n = model.generator.dimension
     dim = model.ratios.similarity_dimension.value
     if c is None:
@@ -311,12 +310,14 @@ def inverse_mellin_numeric(model: SprayModel, eps: float, c=None,
         trapezoid = getattr(np, "trapezoid", None) or np.trapz
         return float(trapezoid(h.real, t)) / math.pi
 
+    # The trapezoid estimates V/eps^n: above eps = 1 the absolute term shrinks with it.
+    atol = _INVMELLIN_ATOL * min(1.0, 1.0 / eps) ** n
     num = 4096
     prev = bromwich(num)
     for _ in range(_INVMELLIN_DOUBLINGS):
         num *= 2
         cur = bromwich(num)
-        if abs(cur - prev) <= _INVMELLIN_ATOL + _INVMELLIN_RTOL * abs(cur):
+        if abs(cur - prev) <= atol + _INVMELLIN_RTOL * abs(cur):
             return eps**n * cur
         prev = cur
     raise ConvergenceError(

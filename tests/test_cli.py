@@ -82,6 +82,17 @@ class TestValidate:
         assert code == 2
         assert "FAIL" in out
 
+    def test_dimension_far_above_one_fails_without_a_traceback(self, capsys, tmp_path):
+        """D = ln 2 / -ln 0.999999 ~ 6.9e5: Moran's bracket doubles past 1e6."""
+        path = write_config(tmp_path, "slow", dict(CANTOR_CONFIG, ratios=[0.999999] * 2))
+        code, out, err = run(capsys, "validate", path)
+        assert (code, err) == (2, "")
+        assert out == ("FAIL: sum of ratios^n = 1.999998 >= 1, total volume infinite\n"
+                       "FAIL: similarity dimension D = 693146.8339663653 outside (0, 1)\n")
+        code, out, err = run(capsys, "dim", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "693146.8339663653" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/x.json")
         assert code == 2
@@ -363,6 +374,7 @@ class TestFailuresExitWithTheirCode:
         ("cantor", "czeros {cfg} --T 1e7", 4, "zeros"),
         ("half_third", "czeros {cfg} --T 1e300", 4, "zeros"),
         ("cantor", "tube {cfg} --eps 0.1 --method invmellin --T inf", 2, "half_length"),
+        ("cantor", "tube {cfg} --eps inf --method invmellin", 2, "0 < eps < inf"),
         ("cantor", "scan {cfg} --grid 0.1:inf:3", 2, "grid"),
         ("cantor", "scan {cfg} --grid 0.01:0.1:3 --T inf", 2, "imaginary window"),
         ("cantor", "scan {cfg} --grid 0.01:0.1:2 --pairs 1000 --T 10", 2,

@@ -27,6 +27,7 @@ from tubeforge import (
     zero_residue,
 )
 from tubeforge.complexdims import dirichlet_poly, dirichlet_poly_deriv
+from tubeforge.presets import square_spray
 from tubeforge.summation import CompensatedSum
 
 CANTOR_D = math.log(2) / math.log(3)
@@ -34,6 +35,8 @@ CANTOR_D = math.log(2) / math.log(3)
 REPEATED_ROOT = [0.16, 0.16, 0.16, 0.064, 0.064]
 # b = 0.3: 1 - 6z^2 - 8z^3 - 3z^4 = (1 - 3z)(1 + z)^3, with triple zeros above z = -1.
 TRIPLE_ROOT = [0.09] * 6 + [0.027] * 8 + [0.0081] * 3
+# D = 1.0323, next to the pole at 1 (n = 2): f(1) = -0.0338 and the two residues nearly cancel.
+NEAR_POLE = [0.5536, 0.3378, 0.0757, 0.0667]
 
 
 def interval_spray(ratios):
@@ -182,6 +185,27 @@ class TestIntegerPoleResidue:
             integer_pole_residue(cantor, 1, 0.1)
 
 
+class TestPoleTerms:
+    """The pole rows of a ``ResidueExpansion`` and ``integer_pole_residue``
+    against eps^(n-i) kappa_i/f(i) with f(i) from ``math.fsum``."""
+
+    @pytest.mark.parametrize("ratios", [[0.5, 1 / 3, 0.25], NEAR_POLE],
+                             ids=["square", "near-pole"])
+    def test_within_16_ulps(self, square, ratios):
+        model = SprayModel(RatioList(ratios), square.generator)
+        gen, n = model.generator, model.generator.dimension
+        expansion = ResidueExpansion.build(model, 0, 1.0)
+        assert expansion.omegas[:n].tolist() == list(range(n))
+        for eps in (gen.inradius / 2, 1e-6, 1e-100):
+            got = tubeformula._residues(n, expansion.omegas[:n], expansion.coeffs[:n],
+                                        eps).real.tolist()
+            for i in range(n):
+                f = 1.0 - math.fsum(r**i for r in model.ratios.ratios)
+                want = eps ** (n - i) * gen.kappa_extended(i) / f
+                assert abs(got[i] - want) <= 16 * math.ulp(want)
+                assert abs(integer_pole_residue(model, i, eps) - want) <= 16 * math.ulp(want)
+
+
 class TestZeroResidue:
     def test_cantor_real_zero_closed_form(self, cantor):
         value = zero_residue(cantor, complex(CANTOR_D), 1, 0.1)
@@ -299,7 +323,8 @@ class TestResidueExpansion:
         g = model.generator.inradius
         expansion = assert_matches_oracle(
             model, [f * g for f in eps_fractions], pairs, window, zeros)
-        assert expansion.coeffs.shape == (pairs + 1, zeros.multiplicity.max())
+        # the pole at 0, D, then the pairs
+        assert expansion.coeffs.shape == (1 + 1 + pairs, zeros.multiplicity.max())
 
     def test_matches_per_zero_oracle_square(self, square, square_zeros_200_pairs):
         window, zeros = square_zeros_200_pairs
@@ -316,8 +341,8 @@ class TestResidueExpansion:
         zeros = find_complex_dimensions(model, window)
         expansion = ResidueExpansion.build(model, pairs, window, zeros)
         kept = zeros.multiplicity[zeros.reals.start:zeros.upper.start + pairs]
-        assert expansion.coeffs.shape == (pairs + 1, multiplicity)
-        multiple = expansion.omegas[kept == multiplicity].tolist()
+        assert expansion.coeffs.shape == (1 + 1 + pairs, multiplicity)
+        multiple = expansion.omegas[1:][kept == multiplicity].tolist()
         assert len(multiple) > pairs // 4
         g = model.generator.inradius
         for eps in (g / 2, g / 50):
@@ -336,9 +361,11 @@ class TestResidueExpansion:
             model, pairs = square, 200
             window, zeros = square_zeros_200_pairs
         expansion = ResidueExpansion.build(model, pairs, window, zeros)
-        omegas = expansion.omegas
-        assert expansion.coeffs.shape == (pairs + 1, 1)
-        assert np.array_equal(expansion.coeffs[:, 0],
+        n = model.generator.dimension
+        omegas = expansion.omegas[n:]
+        assert expansion.omegas[:n].tolist() == list(range(n))
+        assert expansion.coeffs.shape == (n + 1 + pairs, 1)
+        assert np.array_equal(expansion.coeffs[n:, 0],
                               mellin_numerator(model.generator, omegas)
                               / dirichlet_poly_deriv(model.ratios, omegas))
 
@@ -393,6 +420,19 @@ class TestInverseMellin:
         with pytest.raises(DomainError, match="half_length"):
             inverse_mellin_numeric(cantor, 0.1, half_length=half_length)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_eps_outside_zero_to_inf(self, cantor, eps):
+        with pytest.raises(DomainError, match="0 < eps < inf"):
+            inverse_mellin_numeric(cantor, eps)
+
+    def test_large_eps_scales_the_absolute_tolerance(self, cantor, monkeypatch):
+        """V/eps^n ~ 1e-50 at eps = 1e50, far below an absolute 1e-9: one
+        doubling from 4,096 intervals must not pass for agreement."""
+        monkeypatch.setattr(tubeformula, "_INVMELLIN_DOUBLINGS", 1)
+        with pytest.raises(ConvergenceError, match="8192 intervals"):
+            inverse_mellin_numeric(cantor, 1e50)
+
     def test_no_agreement_raises_instead_of_returning(self, cantor, monkeypatch):
         monkeypatch.setattr(tubeformula, "_INVMELLIN_ATOL", 0.0)
         monkeypatch.setattr(tubeformula, "_INVMELLIN_RTOL", 0.0)
@@ -446,6 +486,29 @@ class TestCompare:
         kept = 500 + 1
         assert 0 < nodes["mellin_numerator"] <= kept
         assert 0 < nodes["dirichlet_poly_deriv"] <= kept
+
+    def test_pole_coefficients_once_per_expansion(self, monkeypatch):
+        """f(i) at the integer poles is summed once per expansion, not once
+        per eps: the power_sum calls of a compare do not grow with the grid."""
+        calls = []
+        power_sum = RatioList.power_sum
+
+        def counting(self, x):
+            calls.append(x)
+            return power_sum(self, x)
+
+        monkeypatch.setattr(RatioList, "power_sum", counting)
+        counts = []
+        for size in (2, 200):
+            model = square_spray()
+            g = model.generator.inradius
+            model.ratios.similarity_dimension  # Moran's solve, once per list
+            calls.clear()
+            entries = compare(model, np.geomspace(g * 1e-3, 0.9 * g, size), 20,
+                              window_for_pairs(model.ratios, 20))
+            assert all(e.error == "" for e in entries)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 3
 
     def test_error_isolation(self, cantor):
         g = cantor.generator.inradius

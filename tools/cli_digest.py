@@ -42,8 +42,10 @@ from workloads import WORKLOADS, generate  # noqa: E402
 # square.json, broken.json (the Cantor string with a generator volume that
 # breaks continuity at the inradius, so validation fails) and repeated.json
 # (a lattice list whose polynomial 1 - 3z^2 - 2z^3 has the double root -1, so
-# half of its zeros have multiplicity 2) and triple.json (b = 0.3: 1 - 6z^2 -
-# 8z^3 - 3z^4 = (1 - 3z)(1 + z)^3 has the triple root -1).
+# half of its zeros have multiplicity 2), triple.json (b = 0.3: 1 - 6z^2 -
+# 8z^3 - 3z^4 = (1 - 3z)(1 + z)^3 has the triple root -1) and nearpole.json
+# (the square generator with a list whose D = 1.0323 lies next to the
+# integer pole at 1, so the D and pole-1 residues nearly cancel).
 PRESET_RUNS = (
     ["dim", "square.json"],
     ["validate", "cantor.json"],
@@ -61,6 +63,9 @@ PRESET_RUNS = (
     ["scan", "triple.json", "--grid", "0.01:0.2:5:log", "--pairs", "20"],
     ["czeros", "square.json", "--T", "1e-13"],
     ["tube", "square.json", "--eps", "1e-100", "--method", "residues", "--pairs", "20"],
+    ["scan", "nearpole.json", "--grid", "1e-6:0.4:6:log", "--pairs", "50"],
+    ["tube", "nearpole.json", "--eps", "0.01", "--method", "both", "--pairs", "50"],
+    ["tube", "cantor.json", "--eps", "inf", "--method", "invmellin"],
 )
 
 
@@ -102,6 +107,7 @@ def preset_digest() -> dict:
     configs["repeated"] = {"dimension": 1, "ratios": [0.16, 0.16, 0.16, 0.064, 0.064],
                            "generator": {"kappa": [2.0], "inradius": 0.25, "volume": 0.5}}
     configs["triple"] = dict(configs["repeated"], ratios=[0.09] * 6 + [0.027] * 8 + [0.0081] * 3)
+    configs["nearpole"] = dict(configs["square"], ratios=[0.5536, 0.3378, 0.0757, 0.0667])
     result, home = {}, os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         for name, config in configs.items():
