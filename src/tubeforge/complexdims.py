@@ -8,20 +8,23 @@ come in exact vertical arithmetic progressions with period 2*pi/ln(1/r),
 one array of lifts per distinct root.  Nonlattice lists are handled by the
 argument principle: winding-number counts over rectangles, halved one
 generation at a time until each rectangle isolates one zero, then Newton
-refinement.  A winding number is the sum of arg changes of f along pieces
-of the boundary; a bound on |f'| certifies that f cannot wind around 0
-within a piece, so each count is an exact integer (Ying & Katz, Numer.
-Math. 53, 1988).  The edges of a whole generation are certified in one
-batch, and each segment is cached in both orientations, so an edge two
-rectangles share is certified once.  Each contour node's f, rounding bound
-and |f'| bound come from one exponential per ratio, with ln r_j computed
-once per ratio list.  The one real zero is Moran's D, so conjugate symmetry
-leaves the upper half to search, and its first count also gives the
-window's total.  Both routes compute only the real axis and the upper
-half, and pass them as arrays to ``ZeroSet.build``, which sorts them by
-(Im, Re) with one lexsort, drops near-duplicates by the distance to their
-neighbour and mirrors them: the zeros, their multiplicities and residuals
-as read-only arrays, sorted by (Im, Re) and exactly conjugate-symmetric.
+refinement down to the rounding floor of f.  A winding number is the sum of
+arg changes of f along pieces of the boundary; a bound on |f'| certifies
+that f cannot wind around 0 within a piece, so each count is an exact
+integer (Ying & Katz, Numer. Math. 53, 1988).  The edges of a whole
+generation are certified in one batch, and each segment is cached in both
+orientations, so an edge two rectangles share is certified once.  Each
+contour node's f, rounding bound and |f'| bound come from one exponential
+per ratio, with ln r_j computed once per ratio list.  The one real zero is
+Moran's D, so conjugate symmetry leaves the upper half to search, and its
+first count also gives the window's total.  Both routes compute only the
+real axis and the upper half, and pass them as arrays to ``ZeroSet.build``,
+which sorts them by (Im, Re) with one lexsort, drops near-duplicates by the
+distance to their neighbour and mirrors them: the zeros, their
+multiplicities and residuals as read-only arrays, sorted by (Im, Re) and
+exactly conjugate-symmetric.  Every simple zero off the real axis must then
+have |f| within twice the rounding bound of f, or the search raises
+``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from .errors import (
 )
 from .model import RatioList, SprayModel
 
-RESIDUAL_TOL = 1e-10
-NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 _LATTICE_MATCH_TOL = 1e-9
 _MAX_DENOMINATOR = 64
@@ -289,26 +290,69 @@ def _square_free_factors(p):
     return factors
 
 
-def refine_zero(ratios: RatioList, seed: complex) -> complex:
-    """Polish a seed known to lie near a single zero; Newton on f."""
+def refine_zero(ratios: RatioList, seed: complex, rect=None) -> complex:
+    """Polish a seed known to lie near a single zero; Newton on f.
+
+    Newton stops one step after |f| first falls to E, the rounding bound of
+    f (see ``_bounds``): below E the computed f says nothing more about the
+    zero.  With ``rect`` = (re_lo, re_hi, im_lo, im_hi), the zero returned
+    lies in rect to within 1e-7 (1 + its longer side), and a run fails as
+    soon as an iterate leaves rect grown on every side by its longer side;
+    E is then evaluated only where |f| is below a bound on E over that
+    region (see ``_floor_bound``).  Raises ConvergenceError on failure.
+    """
     s = complex(seed)
+    logs, mults = _arrays(ratios)
+    gate, region = math.inf, None
     try:
+        if rect is not None:
+            re_lo, re_hi, im_lo, im_hi = rect
+            side = max(re_hi - re_lo, im_hi - im_lo)
+            region = (re_lo - side, re_hi + side, im_lo - side, im_hi + side)
+            gate = _floor_bound(ratios, region[0], math.hypot(max(map(abs, region[:2])),
+                                                              max(map(abs, region[2:]))))
         with np.errstate(over="raise", invalid="raise"):
             for _ in range(_NEWTON_MAX_ITER):
                 # Python complex arithmetic for the step, as numpy's complex
                 # division rounds differently.
                 fs = complex(dirichlet_poly(ratios, s))
-                if abs(fs) < NEWTON_TOL:
-                    return s
                 dfs = complex(dirichlet_poly_deriv(ratios, s))
-                if dfs == 0 or abs(s - seed) > 1e6:
+                if dfs == 0:
                     break
+                # E costs a numpy call: only where |f| may be down to it.
+                at_floor = abs(fs) <= gate and abs(fs) <= _bounds(np.array([s]), logs, mults)[0][0]
                 s -= fs / dfs
+                if region is None:
+                    if abs(s - seed) > 1e6:
+                        break
+                elif not _inside(s, region, 0.0):
+                    break
+                if at_floor:
+                    if rect is None or _inside(s, rect, 1e-7 * (1.0 + side)):
+                        return s
+                    break
     except (FloatingPointError, OverflowError):
-        pass  # iterate escaped far left; treated as divergence
+        pass  # the region or an iterate reaches far left; treated as divergence
     raise ConvergenceError(
-        f"Newton iteration from seed {seed!r} did not reach |f| < {NEWTON_TOL}"
+        f"Newton iteration from seed {seed!r} did not reach the rounding floor of f"
+        + ("" if rect is None else f" inside {rect!r}")
     )
+
+
+def _floor_bound(ratios: RatioList, sigma: float, size: float) -> float:
+    """An upper bound on E (see ``_bounds``) wherever Re s >= sigma and
+    |s| <= size, from one power: each m_j r_j^Re(s) is at most
+    m_j max(1, r_min^sigma), and each |ln r_j| at most |ln r_min|."""
+    ln_min = ratios.logs[-1]
+    moduli = ratios.count * max(1.0, math.exp(sigma * ln_min))
+    return _ROUNDING * (len(ratios.logs) + 1) * (1.0 + moduli * (1.0 - size * ln_min))
+
+
+def _inside(s: complex, rect, margin: float) -> bool:
+    """Whether s lies in rect = (re_lo, re_hi, im_lo, im_hi) grown by margin."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    return (re_lo - margin <= s.real <= re_hi + margin
+            and im_lo - margin <= s.imag <= im_hi + margin)
 
 
 def _check_window(ratios: RatioList, im_window: float) -> None:
@@ -345,8 +389,8 @@ def lattice_zeros(structure: LatticeStructure, ratios: RatioList, im_window: flo
     roots, lifted through the principal logarithm, generate the vertical
     zero families s = ln(z)/ln(base) + i*k*period.  The lifts on the real
     axis and above it are built as one array, root by root, screened by one
-    evaluation of f and polished where needed; ``ZeroSet.build`` mirrors
-    them.
+    evaluation of f and of its rounding bound E, and polished where a simple
+    lift has |f| > E; ``ZeroSet.build`` mirrors them.
     """
     if not structure.is_lattice:
         raise DomainError("lattice_zeros requires a lattice ratio list")
@@ -367,14 +411,18 @@ def lattice_zeros(structure: LatticeStructure, ratios: RatioList, im_window: flo
     omega = np.empty(re.size, dtype=np.complex128)
     omega.real, omega.imag = re, im
 
-    # refine_zero's own first test, over all lifts at once: only simple lifts
-    # with |f| >= NEWTON_TOL take a step.
+    # refine_zero's own stop, over all lifts at once: a lift already at the
+    # rounding floor is kept, and only simple lifts above it are polished
+    # and checked.
     f = dirichlet_poly(ratios, omega)
-    for i in np.flatnonzero((mult == 1) & (np.hypot(f.real, f.imag) >= NEWTON_TOL)).tolist():
+    err, _ = _bounds(omega, *_arrays(ratios))
+    polish = np.flatnonzero((mult == 1) & (np.hypot(f.real, f.imag) > err))
+    for i in polish.tolist():
         try:
             omega[i] = refine_zero(ratios, complex(omega[i]))
         except ConvergenceError:
-            pass  # keep the closed-form lift
+            pass  # keep the lift; _check_residuals rejects it past 2E
+    _check_residuals(ratios, omega[polish])
     return ZeroSet.build(ratios, omega, mult)
 
 
@@ -388,10 +436,29 @@ def _bounds(s, logs, mults):
     M = sum m_j |ln r_j| r_j^Re(s), a bound on |f'| right of Re(s), from one
     m_j r_j^Re(s) per ratio.  Term j of f is off by about (1 + |s| |ln r_j|)
     units in the last place of that modulus, the rounding of its exponent
-    carried through exp, and each of the J + 1 additions adds one unit."""
+    carried through exp, and each of the J + 1 additions adds one unit:
+    E = 4 ulp (J + 1) (1 + sum m_j r_j^Re(s) + |s| M)."""
     terms = mults * np.exp(np.multiply.outer(s.real, logs))
-    weight = 1.0 + np.sum(terms * (1.0 + np.multiply.outer(np.abs(s), -logs)), axis=-1)
-    return _ROUNDING * (len(logs) + 1) * weight, terms @ -logs
+    slope = terms @ -logs
+    weight = 1.0 + terms.sum(axis=-1) + np.abs(s) * slope
+    return _ROUNDING * (len(logs) + 1) * weight, slope
+
+
+def _check_residuals(ratios: RatioList, omega) -> None:
+    """Raise ConvergenceError unless f vanishes to rounding, |f| <= 2E as at
+    a contour node (see ``_evaluate``), at each of the simple zeros omega."""
+    if not omega.size:
+        return
+    f = dirichlet_poly(ratios, omega)
+    residual = np.hypot(f.real, f.imag)
+    err, _ = _bounds(omega, *_arrays(ratios))
+    bad = np.flatnonzero(residual > 2.0 * err)
+    if bad.size:
+        k = bad[0]
+        raise ConvergenceError(
+            f"zero {complex(omega[k])!r} is not polished: |f| = {float(residual[k])!r} "
+            f"exceeds twice its rounding bound {float(err[k])!r}"
+        )
 
 
 def _evaluate(ratios: RatioList, s, logs, mults):
@@ -589,8 +656,9 @@ def _argument_principle_zeros(ratios: RatioList, sigma: float, right: float,
     conj f(s), so the window's total is 1 + 2*upper: the completeness
     check that the zeros found must add up to.  The search then goes one
     generation at a time: a rectangle holding one zero is refined by Newton
-    from its centre, any other nonempty one is halved across its longer
-    side, and all halves are counted together (see ``_count_generation``).
+    from its centre (see ``refine_zero``), any other nonempty one, or one
+    whose Newton run fails, is halved across its longer side, and all
+    halves are counted together (see ``_count_generation``).
     Every rectangle is searched within the bounds it was counted over, and
     all counts share one segment cache.
     """
@@ -611,18 +679,10 @@ def _argument_principle_zeros(ratios: RatioList, sigma: float, right: float,
             if cnt == 1:
                 seed = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
                 try:
-                    omega = refine_zero(ratios, seed)
+                    raw.append((refine_zero(ratios, seed, (re_lo, re_hi, im_lo, im_hi)), 1))
+                    continue
                 except ConvergenceError:
-                    omega = None
-                if omega is not None:
-                    margin = 1e-7 * (1.0 + max(width, height))
-                    inside = (
-                        re_lo - margin <= omega.real <= re_hi + margin
-                        and im_lo - margin <= omega.imag <= im_hi + margin
-                    )
-                    if inside:
-                        raw.append((omega, 1))
-                        continue
+                    pass  # halved below
             if max(width, height) < _DEDUP_DISTANCE:
                 center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
                 raw.append((center, cnt))  # multiple zero: carry the count
@@ -635,6 +695,10 @@ def _argument_principle_zeros(ratios: RatioList, sigma: float, right: float,
                 halves += [(re_lo, mid, im_lo, im_hi), (mid, re_hi, im_lo, im_hi)]
         generation = _count_generation(ratios, halves, cache) if halves else []
     zeros = ZeroSet.build(ratios, [s for s, _ in raw], [m for _, m in raw])
+    # The lower half mirrors the upper one, and the real zero is Moran's D,
+    # solved to the tolerance of ``similarity_dimension``.
+    upper = zeros.omega[zeros.upper]
+    _check_residuals(ratios, upper[zeros.multiplicity[zeros.upper] == 1])
 
     total_mult = int(zeros.multiplicity.sum())
     if total_mult != total:

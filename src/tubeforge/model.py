@@ -228,9 +228,10 @@ def validate_spray(model: SprayModel, check_monotonic: bool = True) -> Validatio
                 f"sample eps = {min(bad)!r}"
             )
 
-    # Similarity dimension window n-1 < D < n.
-    dim = model.ratios.similarity_dimension
-    if not (n - 1 < dim.value < n):
+    # Similarity dimension window n-1 < D < n: sum(r_j^x) strictly decreases
+    # through 1 at x = D, so the test needs no solve; D only words the failure.
+    if not model.ratios.power_sum(float(n - 1)) > 1.0 > s:
+        dim = model.ratios.similarity_dimension
         failures.append(
             f"similarity dimension D = {dim.value!r} outside ({n - 1}, {n})"
         )

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from tubeforge import cli, direct, tubeformula
+from tubeforge import cli, complexdims, direct, tubeformula
 from tubeforge.cli import main
 from tubeforge.errors import ConvergenceError
 from tubeforge.model import spray_from_dict
@@ -399,6 +399,21 @@ class TestFailuresExitWithTheirCode:
                              "--method", "invmellin")
         assert (code, out) == (3, "")
         assert err.startswith("error: inverse Mellin trapezoid")
+
+    def test_unpolished_zero_exits_3(self, capsys, monkeypatch, tmp_path):
+        # [0.5, 0.25 (1 + 3e-9)] passes the lattice test within its 1e-9
+        # match, so its lifts at T = 5000 are off the true zeros by up to
+        # |f| ~ 1.8e-5; with no Newton polish they fail the check |f| <= 2E.
+        def no_polish(ratios, seed, rect=None):
+            raise ConvergenceError("no polish")
+
+        monkeypatch.setattr(complexdims, "refine_zero", no_polish)
+        path = write_config(tmp_path, "spray",
+                            dict(CANTOR_CONFIG, ratios=[0.5, 0.25 * (1 + 3e-9)]))
+        code, out, err = run(capsys, "czeros", path, "--T", "5000")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: zero ") and err.count("\n") == 1
+        assert "exceeds twice its rounding bound" in err
 
 
 class TestDeterminism:

@@ -637,27 +637,80 @@ class TestNodeBudget:
         assert nodes[0] <= 10_820  # measured 10,306
 
     def test_lattice_lifts_only_the_upper_half(self, nodes, monkeypatch):
+        # Every lift is already at the rounding floor: none is polished.
         calls = [0]
         original = complexdims.refine_zero
 
-        def counted(ratios, seed):
+        def counted(ratios, seed, rect=None):
             calls[0] += 1
-            return original(ratios, seed)
+            return original(ratios, seed, rect)
 
         monkeypatch.setattr(complexdims, "refine_zero", counted)
         b = 0.4297
         rl = RatioList([b, b**2, b**3])
         lattice_zeros(detect_lattice(rl), rl, window_for_pairs(rl, 500))
-        assert nodes[0] <= 1_190  # measured 1,132
-        assert calls[0] <= 15  # measured 15
+        assert nodes[0] <= 1_060  # measured 1,004
+        assert calls[0] == 0
 
     def test_half_third_window_20(self, nodes):
         # Pinned exactly: each node's f, rounding bound and |f'| bound come
         # from one evaluation, and the bisection must not move a node.
         find_complex_dimensions(_interval_model([0.5, 1 / 3]), 20.0)
-        assert nodes[0] == 286
+        assert nodes[0] == 267
 
     def test_near_lattice_one_pair(self, nodes):
         model = _interval_model([0.5, 0.25 * (1 + 1e-5)])
         find_complex_dimensions(model, window_for_pairs(model.ratios, 1))
         assert nodes[0] <= 397  # measured 378
+
+
+class TestRoundingFloor:
+    """Newton stops at the rounding floor E of f, high up and far left too,
+    where |f| < 1e-12 cannot be reached: lists that took 0.2-1.2 s with an
+    absolute stop and printed zeros with |f| up to 2.6e-6."""
+
+    @pytest.mark.parametrize("ratios, n, pairs", [
+        ([0.3139] * 4 + [0.2449], 2, 100),
+        ([0.1783] * 3 + [0.1177], 1, 100),
+        ([0.527] * 3 + [0.4638], 3, 100),
+        ([0.0911, 0.0673, 0.530, 0.0728], 2, 60),
+        ([0.3903, 0.3032, 0.2879], 1, 100),
+        ([0.585, 0.2494, 0.2171, 0.1664, 0.1534], 2, 100),
+    ])
+    def test_every_zero_at_the_floor(self, ratios, n, pairs):
+        generator = {1: MonophaseGenerator(1, [2.0], 0.5, 1.0),
+                     2: square_spray().generator,
+                     3: MonophaseGenerator(3, [8.0, -12.0, 6.0], 0.5, 1.0)}[n]
+        model = SprayModel(RatioList(ratios), generator)
+        assert not model.ratios.lattice.is_lattice
+        start = time.perf_counter()
+        zeros = find_complex_dimensions(model, window_for_pairs(model.ratios, pairs))
+        assert time.perf_counter() - start <= 0.2
+        assert len(zeros.omega[zeros.upper]) >= pairs
+        err, _ = complexdims._bounds(zeros.omega, *complexdims._arrays(model.ratios))
+        # The search checks |f| <= 2E; these lists reach at most 0.072 E.
+        assert zeros.multiplicity.tolist() == [1] * len(zeros)
+        assert np.all(zeros.residual <= 0.1 * err)
+
+    def test_one_zero_in_a_rectangle_reaching_far_left(self):
+        # The one upper zero at T = 8 is first isolated in a rectangle from
+        # -640 to D + 1/2; the region Newton may roam reaches r^-1281, where
+        # the bound on E overflows, so that run fails and the rectangle is halved.
+        model = _interval_model([0.5, 1 / 3])
+        zeros = find_complex_dimensions(model, 8.0, re_floor=-640.0)
+        expected = find_complex_dimensions(model, 8.0)
+        assert len(zeros) == len(expected) == 3
+        assert np.abs(zeros.omega - expected.omega).max() <= 1e-12
+
+    def test_zero_off_the_floor_is_an_error(self, monkeypatch):
+        # A Newton run that stops short of the floor leaves a zero that the
+        # check rejects, on the argument-principle route as on the lattice one.
+        original = complexdims.refine_zero
+
+        def short(ratios, seed, rect=None):
+            omega = original(ratios, seed, rect)
+            return omega + 1e-9 * (1 + abs(omega))
+
+        monkeypatch.setattr(complexdims, "refine_zero", short)
+        with pytest.raises(ConvergenceError, match="exceeds twice its rounding bound"):
+            find_complex_dimensions(_interval_model([0.5, 1 / 3]), 20.0)

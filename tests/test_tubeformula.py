@@ -198,12 +198,31 @@ class TestPoleTerms:
         assert expansion.omegas[:n].tolist() == list(range(n))
         for eps in (gen.inradius / 2, 1e-6, 1e-100):
             got = tubeformula._residues(n, expansion.omegas[:n], expansion.coeffs[:n],
-                                        eps).real.tolist()
+                                        eps, n).real.tolist()
             for i in range(n):
                 f = 1.0 - math.fsum(r**i for r in model.ratios.ratios)
                 want = eps ** (n - i) * gen.kappa_extended(i) / f
                 assert abs(got[i] - want) <= 16 * math.ulp(want)
                 assert abs(integer_pole_residue(model, i, eps) - want) <= 16 * math.ulp(want)
+
+
+class TestResiduePowers:
+    def test_exp_at_the_zero_rows_is_np_power_bit_for_bit(self):
+        # eps^(n - omega) as exp at every row after the integer poles: the
+        # bits of np.power, also for eps near 1, where numpy's complex log
+        # and math.log differ by an ulp.
+        rng = np.random.default_rng(20261021)
+        n, poles = 3, 3
+        omegas = np.concatenate((np.arange(poles, dtype=complex),
+                                 rng.uniform(-8.0, 3.0, 500)
+                                 + 1j * rng.uniform(-3000.0, 3000.0, 500)))
+        coeffs = (rng.standard_normal(omegas.size)
+                  + 1j * rng.standard_normal(omegas.size))[:, None]
+        for eps in np.concatenate((10.0 ** rng.uniform(-300.0, 0.0, 100),
+                                   rng.uniform(0.4, 3.0, 100))).tolist():
+            want = np.power(eps, n - omegas) * coeffs[:, 0]
+            got = tubeformula._residues(n, omegas, coeffs, eps, poles)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestZeroResidue:

@@ -45,7 +45,11 @@ from workloads import WORKLOADS, generate  # noqa: E402
 # half of its zeros have multiplicity 2), triple.json (b = 0.3: 1 - 6z^2 -
 # 8z^3 - 3z^4 = (1 - 3z)(1 + z)^3 has the triple root -1) and nearpole.json
 # (the square generator with a list whose D = 1.0323 lies next to the
-# integer pole at 1, so the D and pole-1 residues nearly cancel).
+# integer pole at 1, so the D and pole-1 residues nearly cancel) and cube.json
+# (the unit cube generator, kappa = (8, -12, 6), with [0.527]*3 + [0.4638]).
+# The windows 2275.24... and 834.157... are ``window_for_pairs`` at 500 and
+# 100 pairs: high up and far left, where only a stop at the rounding floor
+# polishes every zero.
 PRESET_RUNS = (
     ["dim", "square.json"],
     ["validate", "cantor.json"],
@@ -66,6 +70,8 @@ PRESET_RUNS = (
     ["scan", "nearpole.json", "--grid", "1e-6:0.4:6:log", "--pairs", "50"],
     ["tube", "nearpole.json", "--eps", "0.01", "--method", "both", "--pairs", "50"],
     ["tube", "cantor.json", "--eps", "inf", "--method", "invmellin"],
+    ["czeros", "square.json", "--T", "2275.2447911972513"],
+    ["czeros", "cube.json", "--T", "834.1576918780464"],
 )
 
 
@@ -108,6 +114,9 @@ def preset_digest() -> dict:
                            "generator": {"kappa": [2.0], "inradius": 0.25, "volume": 0.5}}
     configs["triple"] = dict(configs["repeated"], ratios=[0.09] * 6 + [0.027] * 8 + [0.0081] * 3)
     configs["nearpole"] = dict(configs["square"], ratios=[0.5536, 0.3378, 0.0757, 0.0667])
+    configs["cube"] = {"dimension": 3, "ratios": [0.527] * 3 + [0.4638],
+                       "generator": {"kappa": [8.0, -12.0, 6.0], "inradius": 0.5,
+                                     "volume": 1.0}}
     result, home = {}, os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         for name, config in configs.items():
