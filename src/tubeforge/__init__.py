@@ -21,7 +21,6 @@ from .direct import (
     direct_tube_volume,
     factor_multiplicities,
     functional_equation_residual,
-    scaling_exponent_fit,
 )
 from .errors import (
     BoundaryProximityError,
@@ -52,7 +51,6 @@ from .tubeformula import (
     ResidueExpansion,
     TubeEvaluation,
     compare,
-    integer_pole_residue,
     inverse_mellin_numeric,
     mellin_numerator,
     tube_volume_residues,
@@ -92,13 +90,11 @@ __all__ = [
     "find_complex_dimensions",
     "functional_equation_residual",
     "generator_tube_volume",
-    "integer_pole_residue",
     "inverse_mellin_numeric",
     "lattice_zeros",
     "load_spray",
     "mellin_numerator",
     "refine_zero",
-    "scaling_exponent_fit",
     "similarity_dimension",
     "spray_from_dict",
     "total_spray_volume",

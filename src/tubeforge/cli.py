@@ -245,14 +245,16 @@ def acceptance_checks():
     def residue_agreement_cantor():
         g = cantor.generator.inradius
         refs = {0.1: 13.0 / 15.0, 1.0 / 18.0: 7.0 / 9.0}
+        expansion = ResidueExpansion.build(cantor, 500, window_for_pairs(cantor.ratios, 500))
         ok = True
         details = []
-        for ev in compare(cantor, (g / 2.0, g / 4.0, g / 8.0, 0.1, 1.0 / 18.0), 500,
-                          window_for_pairs(cantor.ratios, 500)):
+        for eps in (g / 2.0, g / 4.0, g / 8.0, 0.1, 1.0 / 18.0):
+            ev = expansion.evaluate(eps, direct_tube_volume(cantor, eps))
             if ev.eps in refs:
                 ok = ok and abs(ev.direct - refs[ev.eps]) < 1e-12
-            err_500 = abs(ev.partial_sums[500] - ev.direct)
-            err_5 = abs(ev.partial_sums[5] - ev.direct)
+            sums = expansion.partial_sums(eps)
+            err_500 = abs(sums[500] - ev.direct)
+            err_5 = abs(sums[5] - ev.direct)
             ok = ok and err_500 < 1e-3 and ev.imag_leakage < 1e-10 and err_500 < err_5
             details.append(f"eps={ev.eps:.4g}: err {err_500:.2e} (K=5: {err_5:.2e})")
         return ok, "; ".join(details)

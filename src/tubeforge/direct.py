@@ -220,17 +220,3 @@ def functional_equation_residual(model: SprayModel, eps: float) -> float:
     terms += [-m * r**n * expansion.evaluate(eps / r) for r, m in model.ratios.distinct]
     return math.fsum(terms)
 
-
-def scaling_exponent_fit(model: SprayModel, depth: int) -> float:
-    """Least-squares slope of log V against log eps on eps = g * 2^-m.
-
-    m runs 1..depth; the slope estimates n - D.
-    """
-    if depth < 8:
-        raise DomainError("depth must be at least 8 for a stable fit")
-    g = model.generator.inradius
-    eps = g * 2.0 ** -np.arange(1, depth + 1)
-    expansion = DirectExpansion.build(model, float(eps[-1]))
-    vols = np.array([expansion.evaluate(float(e)) for e in eps])
-    slope = np.polyfit(np.log(eps), np.log(vols), 1)[0]
-    return float(slope)

@@ -20,7 +20,6 @@ _NEWTON_STEPS = 60
 class SimilarityDimension:
     value: float
     residual: float
-    iterations: int
 
 
 def similarity_dimension(ratios: RatioList) -> SimilarityDimension:
@@ -30,14 +29,12 @@ def similarity_dimension(ratios: RatioList) -> SimilarityDimension:
     |sum(r_j^D) - 1| < 1e-13.  A single ratio gives D = 0 exactly.
     """
     if ratios.count == 1:
-        return SimilarityDimension(0.0, 0.0, 0)
+        return SimilarityDimension(0.0, 0.0)
 
-    iterations = 0
     lo = 0.0
     hi = 1.0
     while ratios.power_sum(hi) >= 1.0:  # ends: sum(r_j^x) -> 0 as x grows
         hi *= 2.0
-        iterations += 1
 
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
@@ -45,7 +42,6 @@ def similarity_dimension(ratios: RatioList) -> SimilarityDimension:
             lo = mid
         else:
             hi = mid
-        iterations += 1
 
     x = 0.5 * (lo + hi)
     resid = ratios.power_sum(x) - 1.0
@@ -54,6 +50,5 @@ def similarity_dimension(ratios: RatioList) -> SimilarityDimension:
             break
         x += float(resid / dirichlet_poly_deriv(ratios, x))
         resid = ratios.power_sum(x) - 1.0
-        iterations += 1
 
-    return SimilarityDimension(x, abs(resid), iterations)
+    return SimilarityDimension(x, abs(resid))

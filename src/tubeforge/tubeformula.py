@@ -49,7 +49,7 @@ _INVMELLIN_DOUBLINGS = 12
 
 @dataclass(frozen=True, eq=False)
 class TubeEvaluation:
-    """Direct value vs residue partial sums at one eps.  The errors are NaN
+    """Direct value vs the residue sum at one eps.  The errors are NaN
     without a direct value; an eps the residue sum does not cover has NaN
     residue fields and its reason in ``error``.  ``imag_leakage`` is 0.0: a
     pair enters as w + conj(w), so only real parts are summed."""
@@ -61,7 +61,6 @@ class TubeEvaluation:
     rel_error: float
     pairs_used: int
     imag_leakage: float
-    partial_sums: np.ndarray = ()  # read-only; index = conjugate pairs included
     error: str = ""
 
 
@@ -144,18 +143,6 @@ def _residues(n: int, omegas, coeffs, eps: float, poles: int):
     scale = np.exp((n - omegas) * np.log(complex(eps)).real)
     scale[:poles] = np.power(eps, n - omegas[:poles])
     return scale * poly
-
-
-def integer_pole_residue(model: SprayModel, i: int, eps: float) -> float:
-    """Residue of eps^(n-s) N(s)/(1 - sum r_j^s) at the integer pole s = i:
-    the one-pole case of ``ResidueExpansion``."""
-    n = model.generator.dimension
-    if not 0 <= i <= n - 1:
-        raise DomainError(f"integer pole index must lie in 0..{n - 1}, got {i}")
-    if not (eps > 0.0):
-        raise DomainError(f"residue needs eps > 0, got {eps!r}")
-    coeffs = _pole_coefficients(model, 1)[i:i + 1]
-    return float(_residues(n, np.array([i], dtype=complex), coeffs, eps, 1)[0].real)
 
 
 def zero_residue(model: SprayModel, omega: complex, multiplicity: int,
@@ -243,19 +230,23 @@ class ResidueExpansion:
         coeffs.flags.writeable = omegas.flags.writeable = False
         return cls(model=model, pairs=pairs, omegas=omegas, coeffs=coeffs)
 
-    def evaluate(self, eps: float, direct: float = math.nan) -> TubeEvaluation:
-        """Partial sums at one eps < g, compared against ``direct``, the
-        direct tube volume at eps when the caller has it."""
+    def partial_sums(self, eps: float) -> np.ndarray:
+        """The truncated residue sums at one eps < g, read-only: index k
+        holds the poles, the real zeros and the k lowest conjugate pairs."""
         check_residue_eps(self.model.generator, eps)
         n = self.model.generator.dimension
         terms = _residues(n, self.omegas, self.coeffs, eps, n).real
         # An upper-half residue's real part enters twice, once for its conjugate.
-        # Partial sums: after the poles and real zeros, then after each pair.
         head = len(terms) - self.pairs
         terms = np.concatenate((terms[:head], np.repeat(terms[head:], 2)))
         sums = compensated_cumsum(terms)[head - 1::2].copy()
         sums.flags.writeable = False
-        value = float(sums[-1])
+        return sums
+
+    def evaluate(self, eps: float, direct: float = math.nan) -> TubeEvaluation:
+        """The residue sum at one eps < g, compared against ``direct``, the
+        direct tube volume at eps when the caller has it."""
+        value = float(self.partial_sums(eps)[-1])
         abs_err = abs(value - direct)
         return TubeEvaluation(
             eps=eps,
@@ -265,7 +256,6 @@ class ResidueExpansion:
             rel_error=abs_err / abs(direct) if direct != 0.0 else math.inf,
             pairs_used=self.pairs,
             imag_leakage=0.0,
-            partial_sums=sums,
         )
 
 

@@ -18,13 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubeforge import (
-    mellin_numerator,
-    scaling_exponent_fit,
-    similarity_dimension,
-)
+from tubeforge import mellin_numerator, similarity_dimension
 from tubeforge.cli import acceptance_checks
 
+from test_direct import scaling_exponent_fit
 from test_tubeformula import quadrature_numerator
 
 ROWS = {number: (label, check) for number, label, check in acceptance_checks()}

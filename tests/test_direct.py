@@ -1,15 +1,17 @@
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tubeforge import (
     DirectExpansion,
     DomainError,
-    MonophaseGenerator,
     RatioList,
     ResidueExpansion,
     ResourceLimitError,
@@ -18,14 +20,17 @@ from tubeforge import (
     direct_tube_volume,
     factor_multiplicities,
     functional_equation_residual,
-    generator_tube_volume,
-    scaling_exponent_fit,
     similarity_dimension,
     total_spray_volume,
 )
 import tubeforge.direct as direct_mod
-from tubeforge.presets import square_spray
 from tubeforge.tubeformula import window_for_pairs
+
+from conftest import scaled_generator, sprays, unit_spray
+
+# The exact V(eps) reference is perfbench's; it imports nothing from tubeforge.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+from reference import ExactTube  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -92,81 +97,25 @@ def vector_oracle(ratios: RatioList, threshold: float) -> dict:
     return out
 
 
-def exact_dyadic_volumes(model, ks) -> dict:
-    """k -> exact V(g * 2^-k) as a Fraction, for each k in ks.
-
-    Every float is a dyadic rational, so with the ratios, kappa and Vol(G)
-    read as exact rationals each head term is an exact dyadic number; only
-    1/(1 - sum m r^n) is a general Fraction.  A vector is in the head of k
-    when its exact factor exceeds 2^-k.
-    """
-    gen = model.generator
-    n = gen.dimension
-    distinct = model.ratios.distinct
-    parts = []
-    for r, _ in distinct:
-        num, den = r.as_integer_ratio()
-        parts.append((num, den.bit_length() - 1))
-    k_max = max(ks)
-    heads = []  # (first k whose head holds the vector, mult, num, exp)
-
-    def descend(j, mult, total, num, exp, exps):
-        # lam = num / 2^exp > 2^-k  <=>  num > 2^(exp - k)
-        bits = num.bit_length()
-        power_of_two = num == 1 << (bits - 1)
-        heads.append((exp - bits + (2 if power_of_two else 1), mult, num, exp))
-        for i in range(j, len(distinct)):
-            a, b = parts[i]
-            if (num * a) << k_max > 1 << (exp + b):
-                exps[i] += 1
-                child_mult = mult * (total + 1) * distinct[i][1] // exps[i]
-                descend(i, child_mult, total + 1, num * a, exp + b, exps)
-                exps[i] -= 1
-
-    descend(0, 1, 0, 1, 0, [0] * len(distinct))
-    shift = n * max(exp for *_, exp in heads)
-    # buckets[k][i]: sum of mult lam^i over the vectors entering at k, times 2^shift
-    buckets = {}
-    for k_first, mult, num, exp in heads:
-        sums = buckets.setdefault(max(k_first, 0), [0] * (n + 1))
-        for i in range(n + 1):
-            sums[i] += mult * num**i << (shift - i * exp)
-    power_sum = sum(m * Fraction(r) ** n for r, m in distinct)
-    geometric = 1 / (1 - power_sum)
-    kappa = [Fraction(c) for c in gen.kappa]
-    head = [0] * (n + 1)
-    out = {}
-    for k in range(0, k_max + 1):
-        head = [h + x for h, x in zip(head, buckets.get(k, [0] * (n + 1)))]
-        if k in ks:
-            eps = Fraction(gen.inradius) / 2**k
-            h = [Fraction(x, 1 << shift) for x in head]
-            value = sum(kappa[i] * eps ** (n - i) * h[i] for i in range(n))
-            out[k] = value + Fraction(gen.volume) * (geometric - h[n])
-    return out
+def spray_eps(spray, u):
+    """eps = g 10^(-12u/D): below g for u > 0, and for u <= 1 at most ~1e12
+    words."""
+    d = spray.model.ratios.similarity_dimension.value
+    return spray.model.generator.inradius * 10.0 ** (-12.0 * u / d)
 
 
-def brute_force_volume(model, eps):
-    """Independent oracle: explicit word-by-word DFS, no aggregation."""
-    gen = model.generator
-    n = gen.dimension
-    threshold = eps / gen.inradius
-    rs = model.ratios.ratios
+# A depth u in [0.01, 1] for spray_eps.  hypothesis draws the simplest
+# integer, 0, for up to half of the examples, so 0 maps to the middle.
+DEPTHS = st.integers(-490, 500).map(lambda k: 0.5 + k / 1000)
 
-    def rec(lam):
-        head = lam**n * generator_tube_volume(gen, eps / lam)
-        power = lam**n
-        for r in rs:
-            child = lam * r
-            if child > threshold:
-                h, p = rec(child)
-                head += h
-                power += p
-        return head, power
 
-    head, power = rec(1.0) if threshold < 1.0 else (0.0, 0.0)
-    s_n = model.ratios.power_sum(float(n))
-    return head + gen.volume * (1.0 / (1.0 - s_n) - power)
+def scaling_exponent_fit(model, depth):
+    """Least-squares slope of log V against log eps on eps = g 2^-m,
+    m = 1..depth, an estimate of n - D (acceptance criterion 9)."""
+    eps = model.generator.inradius * 2.0 ** -np.arange(1, depth + 1)
+    expansion = DirectExpansion.build(model, float(eps[-1]))
+    vols = [expansion.evaluate(float(e)) for e in eps]
+    return float(np.polyfit(np.log(eps), np.log(vols), 1)[0])
 
 
 class TestEnumerateWords:
@@ -245,6 +194,26 @@ def direct_terms(model, factors, eps):
     return (weight[head] * tube).tolist() + tail.tolist()
 
 
+def assert_matches_descent(rl, threshold):
+    """Check ``factor_multiplicities`` against ``vector_oracle``; return it."""
+    oracle = vector_oracle(rl, threshold)
+    factors = factor_multiplicities(rl, threshold)
+    assert len(factors) == len(oracle)
+    expected = []
+    for exps, (lam, count) in oracle.items():
+        children = []
+        for j in range(len(exps)):
+            child = list(exps)
+            child[j] += 1
+            children.append(oracle.get(tuple(child), (0.0,))[0])
+        expected.append((lam, float(count), tuple(children)))
+    got = zip(factors.lam.tolist(), factors.mult.tolist(),
+              map(tuple, factors.child_lam.tolist()))
+    # Bit-identical factors and children; multiplicities exact below 2^53.
+    assert sorted(got) == sorted(expected)
+    return factors
+
+
 class TestFactorMultiplicities:
     def test_matches_word_enumeration(self):
         rl = RatioList([0.5, 1 / 3, 0.5])
@@ -265,31 +234,7 @@ class TestFactorMultiplicities:
         ([0.5], 2.0),
     ])
     def test_canonical_factors_multiplicities_and_children(self, ratios, threshold):
-        rl = RatioList(ratios)
-        oracle = vector_oracle(rl, threshold)
-        factors = factor_multiplicities(rl, threshold)
-        assert len(factors) == len(oracle)
-        expected = []
-        for exps, (lam, count) in oracle.items():
-            children = []
-            for j in range(len(exps)):
-                child = list(exps)
-                child[j] += 1
-                children.append(oracle.get(tuple(child), (0.0,))[0])
-            expected.append((lam, float(count), tuple(children)))
-        got = zip(factors.lam.tolist(), factors.mult.tolist(),
-                  map(tuple, factors.child_lam.tolist()))
-        # Bit-identical factors and children; multiplicities exact below 2^53.
-        assert sorted(got) == sorted(expected)
-
-    def test_seeded_random_lists_match_descent(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            rl = RatioList(rng.uniform(0.05, 0.6, size=rng.integers(1, 6)))
-            threshold = 10.0 ** -rng.uniform(1, 7)
-            oracle = vector_oracle(rl, threshold)
-            factors = factor_multiplicities(rl, threshold)
-            assert sorted(factors.lam.tolist()) == sorted(v[0] for v in oracle.values())
+        assert_matches_descent(RatioList(ratios), threshold)
 
     def test_arrays_are_read_only(self):
         factors = factor_multiplicities(RatioList([0.5, 0.25]), 1e-3)
@@ -319,25 +264,13 @@ class TestSplitIdentity:
         ([1 / 3, 1 / 3], 1),
         ([0.5, 1 / 3, 0.25], 2),
         ([0.4, 0.16, 0.064], 1),
+        ([0.6], 2),
     ])
     def test_presets(self, ratios, n):
         rl = RatioList(ratios)
         factors = factor_multiplicities(rl, 1e-12)
         for threshold in (1e-12, 1e-9, 1e-5, 0.01, 0.3, 0.99):
             assert split_identity_error(factors, rl, n, threshold) <= 1e-14
-
-    def test_seeded_random_sprays(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(30):
-            n = int(rng.integers(1, 3))
-            count = int(rng.integers(1, 5))
-            rs = rng.uniform(0.02, 0.7, size=count)
-            rs *= min(1.0, 0.95 / np.sum(rs**n)) ** (1.0 / n)  # sum r^n < 1
-            rl = RatioList(rs)
-            threshold = 10.0 ** -rng.uniform(2, 8)
-            factors = factor_multiplicities(rl, threshold)
-            for t in (threshold, math.sqrt(threshold)):
-                assert split_identity_error(factors, rl, n, t) <= 1e-14
 
     def test_threshold_equal_to_an_enumerated_factor(self):
         rl = RatioList([0.5, 1 / 3, 0.25])
@@ -349,27 +282,52 @@ class TestSplitIdentity:
             assert split_identity_error(deep, rl, 2, float(lam)) <= 1e-14
 
 
+def exact_errors(model, eps_list):
+    """|V(eps) - exact V(eps)| / exact V(eps) of the direct oracle, per eps."""
+    gen = model.generator
+    exact = ExactTube({"dimension": gen.dimension, "ratios": model.ratios.ratios,
+                       "generator": {"kappa": gen.kappa, "inradius": gen.inradius,
+                                     "volume": gen.volume}}).values(eps_list)
+    return [float(abs(Fraction(direct_tube_volume(model, e)) - exact[e]) / exact[e])
+            for e in eps_list]
+
+
+class TestRandomSprays:
+    """Properties of the direct oracle over ``sprays()``; README §Tests has
+    the bounds measured on these examples."""
+
+    @given(sprays(), DEPTHS)
+    @settings(max_examples=50)
+    def test_exact_and_functional_equation(self, spray, u):
+        # Exact to rounding against ExactTube, and V(eps) = sum m_j r_j^n
+        # V(eps/r_j) + V_G(eps) to rounding, at an eps below g and one above.
+        eps_list = [spray_eps(spray, u), spray_eps(spray, -u / 4)]
+        assert max(exact_errors(spray.model, eps_list)) <= 1e-14
+        for eps in eps_list:
+            residual = functional_equation_residual(spray.model, eps)
+            assert abs(residual) <= 1e-15 * direct_tube_volume(spray.model, eps)
+
+    @given(sprays(), DEPTHS)
+    @settings(max_examples=50)
+    def test_factor_set(self, spray, u):
+        # The canonical vectors of the descent, and head plus boundary tail
+        # equal to the geometric total.
+        rl, n = spray.model.ratios, spray.model.generator.dimension
+        threshold = spray_eps(spray, u) / spray.model.generator.inradius
+        factors = assert_matches_descent(rl, threshold)
+        for t in (threshold, math.sqrt(threshold)):
+            assert split_identity_error(factors, rl, n, t) <= 1e-14
+
+
 class TestExactReference:
     def test_square_down_to_2_pow_minus_100(self, square):
-        ks = range(1, 101)
-        exact = exact_dyadic_volumes(square, ks)
         g = square.generator.inradius
-        worst = 0.0
-        for k in ks:
-            value = direct_tube_volume(square, g * 2.0**-k)
-            worst = max(worst, float(abs(Fraction(value) - exact[k]) / exact[k]))
-        assert worst <= 1e-14
-
-    def test_reference_matches_hand_values(self, cantor):
-        # Cantor, g = 1/6: V(1/12) = 1/6 + 2/3 and V(1/24) = 1/12 + 1/6 + 4/9.
-        exact = exact_dyadic_volumes(cantor, [1, 2])
-        assert float(exact[1]) == pytest.approx(5 / 6, rel=1e-15)
-        assert float(exact[2]) == pytest.approx(25 / 36, rel=1e-15)
+        assert max(exact_errors(square, [g * 2.0**-k for k in range(1, 101)])) <= 1e-14
 
 
 class TestDirectExpansion:
-    def test_equals_direct_tube_volume_bit_for_bit(self, cantor, square, half_third_model):
-        for model in (cantor, square, half_third_model):
+    def test_equals_direct_tube_volume_bit_for_bit(self, cantor, square):
+        for model in (cantor, square, unit_spray([0.5, 1 / 3])):
             g = model.generator.inradius
             eps = np.geomspace(1e-6 * g, 3 * g, 60)
             expansion = DirectExpansion.build(model, float(eps[0]))
@@ -482,10 +440,6 @@ class TestWorkBudget:
         assert len(entries) == 200
         assert calls["n"] == 1
 
-    def test_scaling_exponent_fit(self, square, calls):
-        scaling_exponent_fit(square, 30)
-        assert calls["n"] == 1
-
     def test_functional_equation_residual(self, square, calls):
         functional_equation_residual(square, 1e-3)
         assert calls["n"] == 1
@@ -496,21 +450,9 @@ class TestDirectTubeVolume:
         assert direct_tube_volume(cantor, 1 / 18) == pytest.approx(7 / 9, rel=1e-13)
         assert direct_tube_volume(cantor, 0.1) == pytest.approx(13 / 15, rel=1e-13)
 
-    def test_cantor_constant_regime(self, cantor):
-        assert direct_tube_volume(cantor, 0.25) == pytest.approx(1.0, rel=1e-12)
-
     def test_rejects_nonpositive_eps(self, cantor):
         with pytest.raises(DomainError):
             direct_tube_volume(cantor, 0.0)
-
-    def test_against_brute_force(self, cantor, square, half_third_model):
-        rng = np.random.default_rng(7)
-        for model in (cantor, square, half_third_model):
-            g = model.generator.inradius
-            for eps in rng.uniform(0.02 * g, 3.0 * g, size=12):
-                assert direct_tube_volume(model, float(eps)) == pytest.approx(
-                    brute_force_volume(model, float(eps)), rel=1e-12
-                )
 
     def test_monotone_in_eps(self, cantor, square):
         for model in (cantor, square):
@@ -522,15 +464,7 @@ class TestDirectTubeVolume:
     def test_homogeneity(self, square):
         gen = square.generator
         c = 2.7
-        scaled = SprayModel(
-            square.ratios,
-            MonophaseGenerator(
-                gen.dimension,
-                [c**i * k for i, k in enumerate(gen.kappa)],
-                c * gen.inradius,
-                c**gen.dimension * gen.volume,
-            ),
-        )
+        scaled = SprayModel(square.ratios, scaled_generator(gen, c))
         for eps in (0.01, 0.1, 0.3, 1.0):
             assert direct_tube_volume(scaled, c * eps) == pytest.approx(
                 c**gen.dimension * direct_tube_volume(square, eps), rel=1e-12
@@ -544,25 +478,6 @@ class TestDirectTubeVolume:
         for smallest in (eps, 0.01 * g, 0.001 * g):
             value = DirectExpansion.build(cantor, smallest).evaluate(eps)
             assert value == direct_tube_volume(cantor, eps)
-
-
-class TestFunctionalEquation:
-    def test_cantor_hand_arithmetic(self, cantor):
-        assert direct_tube_volume(cantor, 1 / 18) == pytest.approx(7 / 9, rel=1e-13)
-        assert direct_tube_volume(cantor, 1 / 6) == pytest.approx(1.0, rel=1e-13)
-        assert functional_equation_residual(cantor, 1 / 18) == pytest.approx(0.0, abs=1e-14)
-
-    def test_constant_regime_residual(self, cantor):
-        assert functional_equation_residual(cantor, 10.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_random_eps_property(self, cantor, square):
-        rng = np.random.default_rng(123)
-        for model in (cantor, square):
-            g = model.generator.inradius
-            for eps in rng.uniform(1e-3 * g, 10.0 * g, size=100):
-                eps = float(eps)
-                res = functional_equation_residual(model, eps)
-                assert abs(res) < 1e-12 * direct_tube_volume(model, eps)
 
 
 class TestScalingExponentFit:
@@ -596,16 +511,12 @@ class TestScalingExponentFit:
         # fit below n - D over m = 1..30, not the complex dimensions.
         expansion = ResidueExpansion.build(square, 0, 1.0)
         eps = square.generator.inradius * 2.0 ** -np.arange(1, 31)
-        vols = [expansion.evaluate(float(e)).partial_sums[0] for e in eps]
+        vols = [expansion.partial_sums(float(e))[0] for e in eps]
         slope = float(np.polyfit(np.log(eps), np.log(vols), 1)[0])
         assert abs(slope - scaling_exponent_fit(square, 30)) < 1e-5  # measured 6.3e-7
 
     def test_depth_stability_cantor(self, cantor):
         assert abs(scaling_exponent_fit(cantor, 8) - scaling_exponent_fit(cantor, 30)) < 0.1
-
-    def test_rejects_shallow_depth(self, cantor):
-        with pytest.raises(DomainError):
-            scaling_exponent_fit(cantor, 7)
 
 
 class TestScalingBound:

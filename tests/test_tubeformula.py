@@ -19,7 +19,6 @@ from tubeforge import (
     compare,
     find_complex_dimensions,
     generator_tube_volume,
-    integer_pole_residue,
     inverse_mellin_numeric,
     mellin_numerator,
     tube_volume_residues,
@@ -30,6 +29,8 @@ from tubeforge.complexdims import dirichlet_poly, dirichlet_poly_deriv
 from tubeforge.presets import square_spray
 from tubeforge.summation import CompensatedSum
 
+from conftest import unit_spray
+
 CANTOR_D = math.log(2) / math.log(3)
 # b = 0.4: 1 - 3z^2 - 2z^3 = -(1 + z)^2 (2z - 1), so a third of the zeros are double.
 REPEATED_ROOT = [0.16, 0.16, 0.16, 0.064, 0.064]
@@ -37,11 +38,6 @@ REPEATED_ROOT = [0.16, 0.16, 0.16, 0.064, 0.064]
 TRIPLE_ROOT = [0.09] * 6 + [0.027] * 8 + [0.0081] * 3
 # D = 1.0323, next to the pole at 1 (n = 2): f(1) = -0.0338 and the two residues nearly cancel.
 NEAR_POLE = [0.5536, 0.3378, 0.0757, 0.0667]
-
-
-def interval_spray(ratios):
-    """The spray of a ratio list on a unit-interval generator."""
-    return SprayModel(RatioList(ratios), MonophaseGenerator(1, [2.0], 0.5, 1.0))
 
 
 def contour_residue(model, center, radius, eps):
@@ -78,6 +74,13 @@ def oracle_radius(model, center, zeros):
     return min(0.4 * min(dists, default=0.25), 0.1)
 
 
+def pole_residue(model, i, eps):
+    """eps^(n-i) kappa_i/f(i), the residue at the integer pole i, with f(i)
+    from ``math.fsum``."""
+    f = 1.0 - math.fsum(r**i for r in model.ratios.ratios)
+    return eps ** (model.generator.dimension - i) * model.generator.kappa_extended(i) / f
+
+
 def oracle_partial_sums(model, eps, pairs, zeros):
     """Residue partial sums, one ``zero_residue`` per zero and eps, summed by
     componentwise compensated accumulation in the order of the expansion."""
@@ -88,7 +91,7 @@ def oracle_partial_sums(model, eps, pairs, zeros):
         im.add(value.imag)
 
     for i in range(model.generator.dimension):
-        add(complex(integer_pole_residue(model, i, eps)))
+        add(complex(pole_residue(model, i, eps)))
     for w, m in zip(zeros.omega[zeros.reals].tolist(),
                     zeros.multiplicity[zeros.reals].tolist()):
         add(zero_residue(model, w, m, eps))
@@ -104,11 +107,13 @@ def oracle_partial_sums(model, eps, pairs, zeros):
 def assert_matches_oracle(model, eps_values, pairs, window, zeros):
     expansion = ResidueExpansion.build(model, pairs, window, zeros)
     for eps in eps_values:
-        ev = expansion.evaluate(eps)
+        sums = expansion.partial_sums(eps)
         oracle = oracle_partial_sums(model, eps, pairs, zeros)
-        assert len(ev.partial_sums) == pairs + 1
-        for got, want in zip(ev.partial_sums, oracle):
+        assert len(sums) == pairs + 1
+        for got, want in zip(sums, oracle):
             assert abs(got - want.real) <= 1e-14 * abs(want.real)
+        ev = expansion.evaluate(eps)
+        assert ev.residue_value == sums[-1]
         assert ev.imag_leakage < 1e-10
     return expansion
 
@@ -154,56 +159,35 @@ class TestMellinNumerator:
         with pytest.raises(PoleProximityError):
             mellin_numerator(cantor.generator, 1e-13)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_quadrature_identity(self, cantor, square):
-        rng = np.random.default_rng(42)
-        for model in (cantor, square):
-            gen = model.generator
-            n = gen.dimension
-            for _ in range(10):
-                s = complex(rng.uniform(n - 1 + 0.05, n - 0.05), rng.uniform(-3, 3))
-                assert abs(mellin_numerator(gen, s) - quadrature_numerator(gen, s)) < 1e-7
 
-
-class TestIntegerPoleResidue:
-    def test_cantor(self, cantor):
-        assert integer_pole_residue(cantor, 0, 0.1) == pytest.approx(-0.2, rel=1e-14)
-
-    def test_square(self, square):
-        assert integer_pole_residue(square, 1, 0.01) == pytest.approx(-0.48, rel=1e-12)
-
-    def test_zero_coefficient(self):
-        # V_G = eps^2: kappa_1 = 0, continuity at g = 1 with Vol = 1.
-        model = SprayModel(
-            RatioList([0.5, 1 / 3, 0.25]),
-            MonophaseGenerator(2, [1.0, 0.0], 1.0, 1.0),
-        )
-        assert integer_pole_residue(model, 1, 0.37) == 0.0
-
-    def test_bad_index(self, cantor):
-        with pytest.raises(DomainError):
-            integer_pole_residue(cantor, 1, 0.1)
+def pole_rows(model, eps):
+    """The integer-pole residues at eps from the pole rows of a ``ResidueExpansion``."""
+    n = model.generator.dimension
+    expansion = ResidueExpansion.build(model, 0, 1.0)
+    assert expansion.omegas[:n].tolist() == list(range(n))
+    return tubeformula._residues(n, expansion.omegas[:n], expansion.coeffs[:n],
+                                 eps, n).real.tolist()
 
 
 class TestPoleTerms:
-    """The pole rows of a ``ResidueExpansion`` and ``integer_pole_residue``
-    against eps^(n-i) kappa_i/f(i) with f(i) from ``math.fsum``."""
+    """The pole rows of a ``ResidueExpansion`` against eps^(n-i) kappa_i/f(i)
+    with f(i) from ``math.fsum``."""
+
+    def test_hand_values(self, cantor, square):
+        assert pole_rows(cantor, 0.1)[0] == pytest.approx(-0.2, rel=1e-14)
+        assert pole_rows(square, 0.01)[1] == pytest.approx(-0.48, rel=1e-12)
+        # V_G = eps^2: kappa_1 = 0, continuity at g = 1 with Vol = 1.
+        model = SprayModel(square.ratios, MonophaseGenerator(2, [1.0, 0.0], 1.0, 1.0))
+        assert pole_rows(model, 0.37)[1] == 0.0
 
     @pytest.mark.parametrize("ratios", [[0.5, 1 / 3, 0.25], NEAR_POLE],
                              ids=["square", "near-pole"])
     def test_within_16_ulps(self, square, ratios):
         model = SprayModel(RatioList(ratios), square.generator)
-        gen, n = model.generator, model.generator.dimension
-        expansion = ResidueExpansion.build(model, 0, 1.0)
-        assert expansion.omegas[:n].tolist() == list(range(n))
-        for eps in (gen.inradius / 2, 1e-6, 1e-100):
-            got = tubeformula._residues(n, expansion.omegas[:n], expansion.coeffs[:n],
-                                        eps, n).real.tolist()
-            for i in range(n):
-                f = 1.0 - math.fsum(r**i for r in model.ratios.ratios)
-                want = eps ** (n - i) * gen.kappa_extended(i) / f
-                assert abs(got[i] - want) <= 16 * math.ulp(want)
-                assert abs(integer_pole_residue(model, i, eps) - want) <= 16 * math.ulp(want)
+        for eps in (model.generator.inradius / 2, 1e-6, 1e-100):
+            for i, got in enumerate(pole_rows(model, eps)):
+                want = pole_residue(model, i, eps)
+                assert abs(got - want) <= 16 * math.ulp(want)
 
 
 class TestResiduePowers:
@@ -262,7 +246,7 @@ class TestContourResidue:
 
     def test_matches_integer_pole(self, cantor):
         ring = contour_residue(cantor, 0j, 0.1, 0.1)
-        assert abs(ring - integer_pole_residue(cantor, 0, 0.1)) < 1e-9
+        assert abs(ring - pole_rows(cantor, 0.1)[0]) < 1e-9
 
     def test_empty_circle_is_zero(self, cantor):
         assert abs(contour_residue(cantor, 0.3 + 2.0j, 0.05, 0.1)) < 1e-12
@@ -277,12 +261,12 @@ class TestTubeVolumeResidues:
             assert ev.direct == pytest.approx(ref, rel=1e-12)
             assert abs(ev.residue_value - ref) < 1e-3
             assert ev.imag_leakage < 1e-10
-            assert len(ev.partial_sums) == 501
 
     def test_truncation_improves(self, cantor):
-        window = window_for_pairs(cantor.ratios, 500)
-        ev = tube_volume_residues(cantor, 0.1, 500, window)
-        assert abs(ev.partial_sums[500] - ev.direct) < abs(ev.partial_sums[5] - ev.direct)
+        expansion = ResidueExpansion.build(cantor, 500, window_for_pairs(cantor.ratios, 500))
+        sums = expansion.partial_sums(0.1)
+        assert len(sums) == 501
+        assert abs(sums[500] - 13 / 15) < abs(sums[5] - 13 / 15)
 
     def test_rejects_eps_at_or_beyond_inradius(self, cantor):
         g = cantor.generator.inradius
@@ -333,9 +317,9 @@ class TestResidueExpansion:
     def test_matches_per_zero_oracle_lattice(self, cantor, name, pairs, eps_fractions):
         model = {
             "cantor": cantor,
-            "half-quarter": interval_spray([0.5, 0.25]),
-            "geometric-0.4": interval_spray([0.4, 0.16, 0.064]),
-            "repeated-0.4": interval_spray(REPEATED_ROOT),
+            "half-quarter": unit_spray([0.5, 0.25]),
+            "geometric-0.4": unit_spray([0.4, 0.16, 0.064]),
+            "repeated-0.4": unit_spray(REPEATED_ROOT),
         }[name]
         window = window_for_pairs(model.ratios, pairs)
         zeros = find_complex_dimensions(model, window)
@@ -355,7 +339,7 @@ class TestResidueExpansion:
         (TRIPLE_ROOT, 50, 3),
     ], ids=["double-50", "double-200", "double-500", "triple-50"])
     def test_multiple_zeros_match_the_contour_oracle(self, ratios, pairs, multiplicity):
-        model = interval_spray(ratios)
+        model = unit_spray(ratios)
         window = window_for_pairs(model.ratios, pairs)
         zeros = find_complex_dimensions(model, window)
         expansion = ResidueExpansion.build(model, pairs, window, zeros)
@@ -395,9 +379,9 @@ class TestResidueExpansion:
         |f'| near 1.9e-3 (5.9e-4 at 1e-8, where the search is far slower)."""
         for delta in (1e-9, 3e-9):
             zeros = find_complex_dimensions(
-                interval_spray([0.16 * (1 + delta)] + REPEATED_ROOT[1:]), 4.0)
+                unit_spray([0.16 * (1 + delta)] + REPEATED_ROOT[1:]), 4.0)
             assert zeros.multiplicity.tolist() == [2, 1, 2]
-        model = interval_spray([0.16 * (1 + 1e-7)] + REPEATED_ROOT[1:])
+        model = unit_spray([0.16 * (1 + 1e-7)] + REPEATED_ROOT[1:])
         assert not model.ratios.lattice.is_lattice
         zeros = find_complex_dimensions(model, 4.0, re_floor=-0.25)  # all zeros: Re > -0.001
         assert zeros.multiplicity.tolist() == [1] * 5
