@@ -236,6 +236,15 @@ class TestFactorMultiplicities:
     def test_canonical_factors_multiplicities_and_children(self, ratios, threshold):
         assert_matches_descent(RatioList(ratios), threshold)
 
+    def test_seeded_random_lists_match_descent(self):
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            rl = RatioList(rng.uniform(0.05, 0.6, size=rng.integers(1, 6)))
+            threshold = 10.0 ** -rng.uniform(1, 7)
+            oracle = vector_oracle(rl, threshold)
+            factors = factor_multiplicities(rl, threshold)
+            assert sorted(factors.lam.tolist()) == sorted(v[0] for v in oracle.values())
+
     def test_arrays_are_read_only(self):
         factors = factor_multiplicities(RatioList([0.5, 0.25]), 1e-3)
         for a in (factors.lam, factors.mult, factors.child_lam):
@@ -271,6 +280,19 @@ class TestSplitIdentity:
         factors = factor_multiplicities(rl, 1e-12)
         for threshold in (1e-12, 1e-9, 1e-5, 0.01, 0.3, 0.99):
             assert split_identity_error(factors, rl, n, threshold) <= 1e-14
+
+    def test_seeded_random_sprays(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            n = int(rng.integers(1, 3))
+            count = int(rng.integers(1, 5))
+            rs = rng.uniform(0.02, 0.7, size=count)
+            rs *= min(1.0, 0.95 / np.sum(rs**n)) ** (1.0 / n)  # sum r^n < 1
+            rl = RatioList(rs)
+            threshold = 10.0 ** -rng.uniform(2, 8)
+            factors = factor_multiplicities(rl, threshold)
+            for t in (threshold, math.sqrt(threshold)):
+                assert split_identity_error(factors, rl, n, t) <= 1e-14
 
     def test_threshold_equal_to_an_enumerated_factor(self):
         rl = RatioList([0.5, 1 / 3, 0.25])
@@ -323,6 +345,15 @@ class TestExactReference:
     def test_square_down_to_2_pow_minus_100(self, square):
         g = square.generator.inradius
         assert max(exact_errors(square, [g * 2.0**-k for k in range(1, 101)])) <= 1e-14
+
+    def test_reference_matches_hand_values(self, cantor):
+        # Cantor, g = 1/6: V(1/12) = 1/6 + 2/3 and V(1/24) = 1/12 + 1/6 + 4/9.
+        gen = cantor.generator
+        exact = ExactTube({"dimension": 1, "ratios": cantor.ratios.ratios,
+                           "generator": {"kappa": gen.kappa, "inradius": gen.inradius,
+                                         "volume": gen.volume}}).values([1 / 12, 1 / 24])
+        assert float(exact[1 / 12]) == pytest.approx(5 / 6, rel=1e-15)
+        assert float(exact[1 / 24]) == pytest.approx(25 / 36, rel=1e-15)
 
 
 class TestDirectExpansion:
@@ -450,9 +481,20 @@ class TestDirectTubeVolume:
         assert direct_tube_volume(cantor, 1 / 18) == pytest.approx(7 / 9, rel=1e-13)
         assert direct_tube_volume(cantor, 0.1) == pytest.approx(13 / 15, rel=1e-13)
 
+    def test_cantor_constant_regime(self, cantor):
+        assert direct_tube_volume(cantor, 0.25) == pytest.approx(1.0, rel=1e-12)
+
     def test_rejects_nonpositive_eps(self, cantor):
         with pytest.raises(DomainError):
             direct_tube_volume(cantor, 0.0)
+
+    def test_against_brute_force(self, cantor, square):
+        # The exact reference is a word-by-word descent in rational arithmetic.
+        rng = np.random.default_rng(7)
+        for model in (cantor, square, unit_spray([0.5, 1 / 3])):
+            g = model.generator.inradius
+            eps_list = rng.uniform(0.02 * g, 3.0 * g, size=12).tolist()
+            assert max(exact_errors(model, eps_list)) <= 1e-12
 
     def test_monotone_in_eps(self, cantor, square):
         for model in (cantor, square):
@@ -478,6 +520,25 @@ class TestDirectTubeVolume:
         for smallest in (eps, 0.01 * g, 0.001 * g):
             value = DirectExpansion.build(cantor, smallest).evaluate(eps)
             assert value == direct_tube_volume(cantor, eps)
+
+
+class TestFunctionalEquation:
+    def test_cantor_hand_arithmetic(self, cantor):
+        assert direct_tube_volume(cantor, 1 / 18) == pytest.approx(7 / 9, rel=1e-13)
+        assert direct_tube_volume(cantor, 1 / 6) == pytest.approx(1.0, rel=1e-13)
+        assert functional_equation_residual(cantor, 1 / 18) == pytest.approx(0.0, abs=1e-14)
+
+    def test_constant_regime_residual(self, cantor):
+        assert functional_equation_residual(cantor, 10.0) == pytest.approx(0.0, abs=1e-14)
+
+    def test_random_eps_property(self, cantor, square):
+        rng = np.random.default_rng(123)
+        for model in (cantor, square):
+            g = model.generator.inradius
+            for eps in rng.uniform(1e-3 * g, 10.0 * g, size=100):
+                eps = float(eps)
+                res = functional_equation_residual(model, eps)
+                assert abs(res) < 1e-12 * direct_tube_volume(model, eps)
 
 
 class TestScalingExponentFit:

@@ -28,6 +28,13 @@ class TestSimilarityDimension:
         dim = similarity_dimension(RatioList([0.5, 0.25]))
         assert abs(dim.value - math.log2((1 + math.sqrt(5)) / 2)) < 1e-13
 
+    def test_three_ratio_value_from_bisection_oracle(self):
+        ratios = [0.5, 1 / 3, 0.25]
+        dim = similarity_dimension(RatioList(ratios))
+        assert abs(Decimal(dim.value) - moran_root(ratios, dim.value)) <= Decimal("1e-15")
+        # frozen from a 200-step bisection on the decreasing sum
+        assert dim.value == pytest.approx(1.0821314981404186, abs=1e-12)
+
     def test_single_ratio_is_exactly_zero(self):
         for r in (0.1, 0.5, 0.93):
             assert similarity_dimension(RatioList([r])).value == 0.0
@@ -45,6 +52,14 @@ class TestSimilarityDimension:
         slope = math.fsum(-(r**d) * math.log(r) for r in ratios)
         reach = 1e-13 / slope + 4 * math.ulp(d)
         assert abs(Decimal(d) - moran_root(ratios, d)) <= Decimal(reach)
+
+    @given(st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=2, max_size=6))
+    @settings(max_examples=200)
+    def test_residual_property(self, ratios):
+        rl = RatioList(ratios)
+        dim = similarity_dimension(rl)
+        assert abs(rl.power_sum(dim.value) - 1.0) < 1e-12
+        assert dim.value > 0.0
 
     @given(st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=1, max_size=6),
            st.floats(min_value=-5.0, max_value=5.0),

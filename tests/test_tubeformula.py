@@ -159,6 +159,16 @@ class TestMellinNumerator:
         with pytest.raises(PoleProximityError):
             mellin_numerator(cantor.generator, 1e-13)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_quadrature_identity(self, cantor, square):
+        rng = np.random.default_rng(42)
+        for model in (cantor, square):
+            gen = model.generator
+            n = gen.dimension
+            for _ in range(10):
+                s = complex(rng.uniform(n - 1 + 0.05, n - 0.05), rng.uniform(-3, 3))
+                assert abs(mellin_numerator(gen, s) - quadrature_numerator(gen, s)) < 1e-7
+
 
 def pole_rows(model, eps):
     """The integer-pole residues at eps from the pole rows of a ``ResidueExpansion``."""
@@ -169,16 +179,24 @@ def pole_rows(model, eps):
                                  eps, n).real.tolist()
 
 
-class TestPoleTerms:
-    """The pole rows of a ``ResidueExpansion`` against eps^(n-i) kappa_i/f(i)
-    with f(i) from ``math.fsum``."""
+class TestIntegerPoleResidue:
+    """Hand values of the integer-pole residues in the pole rows."""
 
-    def test_hand_values(self, cantor, square):
+    def test_cantor(self, cantor):
         assert pole_rows(cantor, 0.1)[0] == pytest.approx(-0.2, rel=1e-14)
+
+    def test_square(self, square):
         assert pole_rows(square, 0.01)[1] == pytest.approx(-0.48, rel=1e-12)
+
+    def test_zero_coefficient(self, square):
         # V_G = eps^2: kappa_1 = 0, continuity at g = 1 with Vol = 1.
         model = SprayModel(square.ratios, MonophaseGenerator(2, [1.0, 0.0], 1.0, 1.0))
         assert pole_rows(model, 0.37)[1] == 0.0
+
+
+class TestPoleTerms:
+    """The pole rows of a ``ResidueExpansion`` against eps^(n-i) kappa_i/f(i)
+    with f(i) from ``math.fsum``."""
 
     @pytest.mark.parametrize("ratios", [[0.5, 1 / 3, 0.25], NEAR_POLE],
                              ids=["square", "near-pole"])
